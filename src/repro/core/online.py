@@ -242,7 +242,7 @@ class IncrementalArranger:
         disk = driver.disk
         self._per_cyl = disk.geometry.blocks_per_cylinder
         self._center = label.reserved_center_cylinder()
-        # The same precomputed tables the hot path uses: one list index
+        # The same precomputed tables the hot path uses: one tuple index
         # per projected seek, plus the exact per-access scalar costs.
         self._seek_table = disk._seek_table
         self._per_io_ms = (

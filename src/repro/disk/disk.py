@@ -14,6 +14,7 @@ the buffer (Fujitsu M2266 only).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .geometry import DiskGeometry
 from .models import DiskModel
@@ -46,6 +47,16 @@ class ServiceBreakdown:
         return self.start_ms + self.service_ms
 
 
+@lru_cache(maxsize=None)
+def seek_table(seek: SeekModel, cylinders: int) -> tuple[float, ...]:
+    """``seek.time(d)`` for every cylinder delta ``d < cylinders``.
+
+    Computed once per ``(seek model, cylinder count)`` and shared,
+    read-only, by every :class:`Disk` built on that model.
+    """
+    return tuple(seek.time(d) for d in range(cylinders))
+
+
 @dataclass
 class Disk:
     """A simulated drive built from a :class:`DiskModel` preset.
@@ -73,13 +84,10 @@ class Disk:
             )
         # Hot-path constants.  The seek table holds the piecewise model's
         # value for every reachable cylinder delta (verified equal in
-        # tests/test_api.py), so a request costs one list index instead of
+        # tests/test_api.py), so a request costs one tuple index instead of
         # a branch + sqrt/cbrt/log evaluation.  The remaining scalars are
         # the exact floats the properties would recompute per access.
-        seek = self.model.seek
-        self._seek_table: list[float] = [
-            seek.time(d) for d in range(geometry.cylinders)
-        ]
+        self._seek_table = seek_table(self.model.seek, geometry.cylinders)
         self._overhead_ms = self.model.controller_overhead_ms
         self._blocks_per_cylinder = geometry.blocks_per_cylinder
         self._sectors_per_block = geometry.sectors_per_block

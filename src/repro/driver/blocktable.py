@@ -13,21 +13,18 @@ This module models both the in-memory table and its on-disk copy; writing
 the disk copy is an explicit step (:meth:`BlockTable.write_to_disk`) so the
 crash-recovery semantics can be exercised by tests.
 
-Two implementations share the same contract:
-
-* :class:`BlockTable` — the default, array-backed.  The forward map
-  (original physical block → reserved block) and the reverse map are flat
-  ``array('i')`` vectors indexed by block number with ``-1`` meaning
-  "absent", so the per-request lookup is a bounds check plus one array
-  index and the per-entry footprint is a few bytes instead of a dict slot
-  plus a boxed entry object.  Entry metadata that is genuinely per-entry
-  (insertion order, the disk-copy shadow) stays in small dicts bounded by
-  the number of *rearranged* blocks, never by the size of the disk.
-* :class:`DictBlockTable` — the original dict-of-entries implementation,
-  kept as the executable specification.  The equivalence test in
-  ``tests/test_blocktable.py`` drives both through randomized
-  add/remove/dirty/flush/crash/recover interleavings and requires
-  identical observable state after every step.
+:class:`BlockTable` is array-backed.  The forward map (original physical
+block → reserved block) and the reverse map are flat ``array('i')``
+vectors indexed by block number with ``-1`` meaning "absent", so the
+per-request lookup is a bounds check plus one array index and the
+per-entry footprint is a few bytes instead of a dict slot plus a boxed
+entry object.  Entry metadata that is genuinely per-entry (insertion
+order, the disk-copy shadow) stays in small dicts bounded by the number of
+*rearranged* blocks, never by the size of the disk.  The original
+dict-of-entries implementation lives on in ``tests/test_blocktable.py`` as
+the executable specification: a randomized equivalence test drives both
+through add/remove/dirty/flush/crash/recover interleavings and requires
+identical observable state after every step.
 
 Because the driver rewrites the on-disk copy after *every* block move, a
 full O(entries) snapshot per flush would make the nightly cycle quadratic
@@ -41,9 +38,10 @@ O(changes) per flush.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _ABSENT = -1
+_ABSENT_ONE = array("i", (_ABSENT,))
 
 
 @dataclass
@@ -91,15 +89,23 @@ class BlockTable:
     def reserve(self, num_blocks: int) -> None:
         """Pre-size both address-space arrays for a ``num_blocks`` device."""
         if num_blocks > 0:
-            self._ensure(self._forward, num_blocks - 1)
-            self._ensure(self._reverse, num_blocks - 1)
-            if len(self._dirty) < num_blocks:
-                self._dirty.extend(b"\x00" * (num_blocks - len(self._dirty)))
+            self._grow(num_blocks - 1, num_blocks - 1)
 
-    @staticmethod
-    def _ensure(vector: array, index: int) -> None:
-        if index >= len(vector):
-            vector.extend([_ABSENT] * (index + 1 - len(vector)))
+    def _grow(self, original_block: int, reserved_block: int) -> None:
+        """Extend the arrays so both block numbers index into them.
+
+        New slots are filled at C level (a repeated one-element array and
+        a zero bytes object), never through a temporary Python list.
+        """
+        forward = self._forward
+        if original_block >= len(forward):
+            forward.extend(_ABSENT_ONE * (original_block + 1 - len(forward)))
+        reverse = self._reverse
+        if reserved_block >= len(reverse):
+            reverse.extend(_ABSENT_ONE * (reserved_block + 1 - len(reverse)))
+        dirty = self._dirty
+        if original_block >= len(dirty):
+            dirty.extend(bytes(original_block + 1 - len(dirty)))
 
     # ------------------------------------------------------------------
     # In-memory operations
@@ -152,12 +158,7 @@ class BlockTable:
             )
         if self.capacity is not None and len(self) >= self.capacity:
             raise ValueError("block table is full")
-        self._ensure(self._forward, original_block)
-        self._ensure(self._reverse, reserved_block)
-        if original_block >= len(self._dirty):
-            self._dirty.extend(
-                b"\x00" * (original_block + 1 - len(self._dirty))
-            )
+        self._grow(original_block, reserved_block)
         self._forward[original_block] = reserved_block
         self._reverse[reserved_block] = original_block
         self._dirty[original_block] = 0
@@ -287,12 +288,7 @@ class BlockTable:
         self._drop_memory()
         self._unflushed.clear()
         for original, (reserved, __) in self._disk_map.items():
-            self._ensure(self._forward, original)
-            self._ensure(self._reverse, reserved)
-            if original >= len(self._dirty):
-                self._dirty.extend(
-                    b"\x00" * (original + 1 - len(self._dirty))
-                )
+            self._grow(original, reserved)
             self._forward[original] = reserved
             self._reverse[reserved] = original
             self._dirty[original] = 1
@@ -303,116 +299,3 @@ class BlockTable:
             # updates dirty bits in place without reordering.
             self._disk_seq[original] = seq
             self._unflushed.add(original)
-
-
-@dataclass
-class DictBlockTable:
-    """The original dict-of-entries block table (reference implementation).
-
-    Semantically identical to :class:`BlockTable`; kept as the executable
-    specification for the equivalence tests.  Unlike the array-backed
-    table, :meth:`entries`/:meth:`lookup` return the *live* entry objects.
-    """
-
-    capacity: int | None = None
-    _by_original: dict[int, BlockTableEntry] = field(default_factory=dict)
-    _by_reserved: dict[int, int] = field(default_factory=dict)
-    _disk_copy: dict[int, tuple[int, bool]] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    # In-memory operations
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._by_original)
-
-    def __contains__(self, original_block: int) -> bool:
-        return original_block in self._by_original
-
-    def reserved_of(self, original_block: int) -> int:
-        entry = self._by_original.get(original_block)
-        return _ABSENT if entry is None else entry.reserved_block
-
-    def lookup(self, original_block: int) -> BlockTableEntry | None:
-        """Entry for ``original_block``, or None if it is not rearranged."""
-        return self._by_original.get(original_block)
-
-    def original_of(self, reserved_block: int) -> int | None:
-        """Original home of the block stored at ``reserved_block``."""
-        return self._by_reserved.get(reserved_block)
-
-    def add(self, original_block: int, reserved_block: int) -> BlockTableEntry:
-        """Register a block just copied into the reserved area (clean)."""
-        if original_block in self._by_original:
-            raise ValueError(f"block {original_block} is already rearranged")
-        if reserved_block in self._by_reserved:
-            raise ValueError(
-                f"reserved block {reserved_block} is already occupied"
-            )
-        if self.capacity is not None and len(self) >= self.capacity:
-            raise ValueError("block table is full")
-        entry = BlockTableEntry(original_block, reserved_block)
-        self._by_original[original_block] = entry
-        self._by_reserved[reserved_block] = original_block
-        return entry
-
-    def remove(self, original_block: int) -> BlockTableEntry:
-        """Drop the entry for a block moved back to its original home."""
-        try:
-            entry = self._by_original.pop(original_block)
-        except KeyError:
-            raise KeyError(
-                f"block {original_block} is not in the block table"
-            ) from None
-        del self._by_reserved[entry.reserved_block]
-        return entry
-
-    def mark_dirty(self, original_block: int) -> None:
-        """Record that the reserved-area copy has been updated."""
-        entry = self._by_original.get(original_block)
-        if entry is None:
-            raise KeyError(f"block {original_block} is not in the block table")
-        entry.dirty = True
-
-    def entries(self) -> list[BlockTableEntry]:
-        """All entries, in insertion order."""
-        return list(self._by_original.values())
-
-    def dirty_entries(self) -> list[BlockTableEntry]:
-        return [entry for entry in self._by_original.values() if entry.dirty]
-
-    def occupied_reserved_blocks(self) -> set[int]:
-        return set(self._by_reserved)
-
-    def clear(self) -> None:
-        self._by_original.clear()
-        self._by_reserved.clear()
-
-    # ------------------------------------------------------------------
-    # On-disk copy and crash recovery
-    # ------------------------------------------------------------------
-
-    def write_to_disk(self) -> None:
-        """Flush the current table to its reserved-area disk copy."""
-        self._disk_copy = {
-            entry.original_block: (entry.reserved_block, entry.dirty)
-            for entry in self._by_original.values()
-        }
-
-    def disk_copy(self) -> dict[int, tuple[int, bool]]:
-        """A snapshot view of the on-disk table (for tests/inspection)."""
-        return dict(self._disk_copy)
-
-    def crash(self) -> None:
-        """Simulate a system crash: the in-memory table is lost."""
-        self._by_original.clear()
-        self._by_reserved.clear()
-
-    def recover(self) -> None:
-        """Rebuild the in-memory table from the disk copy after a crash."""
-        self._by_original.clear()
-        self._by_reserved.clear()
-        for original, (reserved, __) in self._disk_copy.items():
-            entry = BlockTableEntry(original, reserved, dirty=True)
-            self._by_original[original] = entry
-            self._by_reserved[reserved] = original

@@ -120,9 +120,7 @@ class AdaptiveDiskDriver:
         self._blocks_per_cylinder = self.disk.geometry.blocks_per_cylinder
         # Pre-size the array-backed redirection map for the whole device
         # so the hot path never pays incremental growth.
-        reserve = getattr(self.block_table, "reserve", None)
-        if reserve is not None:
-            reserve(self.disk.geometry.total_blocks)
+        self.block_table.reserve(self.disk.geometry.total_blocks)
 
     # ------------------------------------------------------------------
     # Attach / recovery

@@ -79,6 +79,33 @@ class FreeMap:
             stop = len(self._bits)
         return self._bits.find(1, start, stop)
 
+    def take_run(self, start: int, step: int, count: int) -> list[int]:
+        """Take ``count`` free blocks and return their block numbers.
+
+        The first is the first free block at or after index ``start``,
+        each later one the first free block at or after the previous one
+        plus ``step``; every search wraps around to the start of the map.
+        This is ``count`` chained :meth:`CylinderGroup.allocate_near`
+        calls run as one loop over the bytes.
+        """
+        if count > self.count:
+            raise AllocationError("free map has fewer free blocks than asked")
+        bits = self._bits
+        find = bits.find
+        span = len(bits)
+        first = self._first
+        taken: list[int] = []
+        append = taken.append
+        for __ in range(count):
+            index = find(1, start)
+            if index < 0:
+                index = find(1, 0, start)
+            bits[index] = 0
+            append(first + index)
+            start = (index + step) % span
+        self.count -= count
+        return taken
+
 
 @dataclass
 class CylinderGroup:
@@ -137,6 +164,17 @@ class CylinderGroup:
         candidate = data_first + index
         self.free.remove(candidate)
         return candidate
+
+    def allocate_run(
+        self, position: int, interleave: int, count: int
+    ) -> list[int]:
+        """``count`` blocks, each placed by :meth:`allocate_near` after the
+        one before it (the first after ``position``), in one pass."""
+        step = 1 + interleave
+        start = (position + step - self.data_first_block) % (
+            self.num_blocks - self.inode_blocks
+        )
+        return self.free.take_run(start, step, count)
 
     def release(self, block: int) -> None:
         if not self.data_first_block <= block < self.end_block:
@@ -220,11 +258,12 @@ class FFSAllocator:
                 group.data_first_block <= position < group.end_block
             ):
                 position = group.data_first_block - 1 - self.interleave
-            take = min(remaining, group.free_count)
-            for __ in range(take):
-                position = group.allocate_near(position, self.interleave)
-                blocks.append(position)
-            remaining -= take
+            run = group.allocate_run(
+                position, self.interleave, min(remaining, group.free_count)
+            )
+            blocks.extend(run)
+            position = run[-1]
+            remaining -= len(run)
             hint = (group.index + 1) % self.num_groups
         return blocks
 
@@ -240,9 +279,12 @@ class FFSAllocator:
             if group.free_count == 0:
                 group = self._group_with_space(group.index + 1, 1)
                 position = group.data_first_block - 1 - self.interleave
-            position = group.allocate_near(position, self.interleave)
-            blocks.append(position)
-            remaining -= 1
+            run = group.allocate_run(
+                position, self.interleave, min(remaining, group.free_count)
+            )
+            blocks.extend(run)
+            position = run[-1]
+            remaining -= len(run)
         return blocks
 
     def release_blocks(self, blocks: list[int]) -> None:

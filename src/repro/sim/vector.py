@@ -463,18 +463,20 @@ class BatchPlanner:
             events.pop()
             return self._run_drain(ctx, current, until_ms)
         if cls is JobStart:
+            if sim._idle_events or sim._migration_sinks:
+                # The idle detector subscribes to JobStart (its activity
+                # token), so every start must reach the bus.
+                return self._decline()
             job = event.job
             if job.sequential:
                 # A sequential job start only schedules its first issue
-                # (device-independent), so absorb it unconditionally.
+                # (device-independent), so absorb it without a context.
                 events.pop()
                 events.push(
                     events.now_ms + job.steps[0].think_ms,
                     StepIssue(job, 0, event.device),
                 )
                 return 1
-            if sim._idle_events or sim._migration_sinks:
-                return self._decline()
             ctx = self.contexts.get(event.device)
             if ctx is None:
                 return self._decline()

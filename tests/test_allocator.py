@@ -1,5 +1,7 @@
 """Tests for repro.fs.allocator — cylinder groups and interleave."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,3 +159,84 @@ class TestCylinderGroupValidation:
     def test_inode_area_must_leave_data_room(self):
         with pytest.raises(ValueError):
             CylinderGroup(index=0, first_block=0, num_blocks=2, inode_blocks=2)
+
+
+def _allocate_block_by_block(allocator, num_blocks, group_hint):
+    """Reference for ``allocate_file_blocks``: one ``allocate_near`` call
+    per block, group selection exactly as the allocator does it."""
+    blocks = []
+    remaining = num_blocks
+    hint = group_hint % allocator.num_groups
+    position = None
+    while remaining > 0:
+        group = allocator._group_with_space(hint, 1)
+        if position is None or not (
+            group.data_first_block <= position < group.end_block
+        ):
+            position = group.data_first_block - 1 - allocator.interleave
+        for __ in range(min(remaining, group.free_count)):
+            position = group.allocate_near(position, allocator.interleave)
+            blocks.append(position)
+            remaining -= 1
+        hint = (group.index + 1) % allocator.num_groups
+    return blocks
+
+
+def _extend_block_by_block(allocator, last_block, num_blocks):
+    """Reference for ``extend_file``: one ``allocate_near`` per block."""
+    blocks = []
+    position = last_block
+    group = allocator.group_of_block(last_block)
+    for __ in range(num_blocks):
+        if group.free_count == 0:
+            group = allocator._group_with_space(group.index + 1, 1)
+            position = group.data_first_block - 1 - allocator.interleave
+        position = group.allocate_near(position, allocator.interleave)
+        blocks.append(position)
+    return blocks
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1993])
+@pytest.mark.parametrize("interleave", [0, 1, 3])
+def test_batched_allocation_matches_block_by_block(seed, interleave):
+    """The one-pass run allocation returns the same blocks, in the same
+    order, as chained ``allocate_near`` calls and leaves the same free
+    maps — on fragmented maps, across wrap-around inside a group and on
+    spill into the next group."""
+    rng = random.Random(seed)
+    batched = make_allocator(total_blocks=3000, interleave=interleave)
+    reference = make_allocator(total_blocks=3000, interleave=interleave)
+    group_span = batched.groups[0].free_count
+    files = []
+    wrapped = spilled = 0
+    for __ in range(300):
+        op = rng.choices(["new", "extend", "release"], weights=[5, 3, 3])[0]
+        if op == "release" and files:
+            victim = files.pop(rng.randrange(len(files)))
+            released = rng.sample(victim, rng.randint(1, len(victim)))
+            batched.release_blocks(released)
+            reference.release_blocks(released)
+            continue
+        size = rng.choice([1, 2, 5, 17, rng.randint(1, 2 * group_span)])
+        if size > batched.free_blocks:
+            continue
+        if op == "extend" and files:
+            last = rng.choice(files)[-1]
+            got = batched.extend_file(last, size)
+            want = _extend_block_by_block(reference, last, size)
+        else:
+            hint = rng.randrange(2 * batched.num_groups)
+            got = batched.allocate_file_blocks(size, group_hint=hint)
+            want = _allocate_block_by_block(reference, size, hint)
+        assert got == want
+        groups = [batched.group_of_block(b).index for b in got]
+        spilled += any(a != b for a, b in zip(groups, groups[1:]))
+        wrapped += any(
+            b < a and ga == gb
+            for a, b, ga, gb in zip(got, got[1:], groups, groups[1:])
+        )
+        files.append(got)
+        for mine, theirs in zip(batched.groups, reference.groups):
+            assert mine.free_count == theirs.free_count
+            assert mine.free._bits == theirs.free._bits
+    assert wrapped and spilled

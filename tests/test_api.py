@@ -175,6 +175,14 @@ class TestSeekLookupTable:
     def test_zero_delta_is_free(self, model):
         assert Disk(model)._seek_table[0] == 0.0
 
+    @pytest.mark.parametrize("model", [TOSHIBA_MK156F, FUJITSU_M2266])
+    def test_disks_of_one_model_share_an_immutable_table(self, model):
+        table = Disk(model)._seek_table
+        assert Disk(model)._seek_table is table
+        assert isinstance(table, tuple)
+        with pytest.raises(TypeError):
+            table[1] = 0.0
+
 
 class TestCdfSamplerEquivalence:
     """The workload generator samples file popularity through a cached

@@ -1,8 +1,9 @@
 """Tests for repro.driver.blocktable — redirection map and recovery.
 
-Both implementations — the array-backed :class:`BlockTable` (the default)
-and the dict-of-entries :class:`DictBlockTable` (the reference) — must pass
-the same contract tests, and a randomized mirror test drives them through
+The array-backed :class:`BlockTable` and the dict-of-entries
+:class:`DictBlockTable` defined here (the oracle: the original
+implementation, kept as the executable specification) must pass the same
+contract tests, and a randomized mirror test drives them through
 identical add/remove/dirty/flush/crash/recover interleavings (seeded like
 the fault stress suite; reproduce with ``FAULT_STRESS_SEED=<n>``) and
 requires identical observable state after every step.
@@ -10,11 +11,127 @@ requires identical observable state after every step.
 
 import os
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.driver.blocktable import BlockTable, DictBlockTable
+from repro.driver.blocktable import BlockTable, BlockTableEntry
+
+
+@dataclass
+class DictBlockTable:
+    """The original dict-of-entries block table (reference implementation).
+
+    Semantically identical to :class:`BlockTable`; kept as the executable
+    specification for the equivalence tests.  Unlike the array-backed
+    table, :meth:`entries`/:meth:`lookup` return the *live* entry objects.
+    """
+
+    capacity: int | None = None
+    _by_original: dict[int, BlockTableEntry] = field(default_factory=dict)
+    _by_reserved: dict[int, int] = field(default_factory=dict)
+    _disk_copy: dict[int, tuple[int, bool]] = field(default_factory=dict)
+
+    # ------------------------------------------------------------------
+    # In-memory operations
+    # ------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._by_original)
+
+    def __contains__(self, original_block: int) -> bool:
+        return original_block in self._by_original
+
+    def reserved_of(self, original_block: int) -> int:
+        entry = self._by_original.get(original_block)
+        return -1 if entry is None else entry.reserved_block
+
+    def lookup(self, original_block: int) -> BlockTableEntry | None:
+        """Entry for ``original_block``, or None if it is not rearranged."""
+        return self._by_original.get(original_block)
+
+    def original_of(self, reserved_block: int) -> int | None:
+        """Original home of the block stored at ``reserved_block``."""
+        return self._by_reserved.get(reserved_block)
+
+    def add(self, original_block: int, reserved_block: int) -> BlockTableEntry:
+        """Register a block just copied into the reserved area (clean)."""
+        if original_block in self._by_original:
+            raise ValueError(f"block {original_block} is already rearranged")
+        if reserved_block in self._by_reserved:
+            raise ValueError(
+                f"reserved block {reserved_block} is already occupied"
+            )
+        if self.capacity is not None and len(self) >= self.capacity:
+            raise ValueError("block table is full")
+        entry = BlockTableEntry(original_block, reserved_block)
+        self._by_original[original_block] = entry
+        self._by_reserved[reserved_block] = original_block
+        return entry
+
+    def remove(self, original_block: int) -> BlockTableEntry:
+        """Drop the entry for a block moved back to its original home."""
+        try:
+            entry = self._by_original.pop(original_block)
+        except KeyError:
+            raise KeyError(
+                f"block {original_block} is not in the block table"
+            ) from None
+        del self._by_reserved[entry.reserved_block]
+        return entry
+
+    def mark_dirty(self, original_block: int) -> None:
+        """Record that the reserved-area copy has been updated."""
+        entry = self._by_original.get(original_block)
+        if entry is None:
+            raise KeyError(f"block {original_block} is not in the block table")
+        entry.dirty = True
+
+    def entries(self) -> list[BlockTableEntry]:
+        """All entries, in insertion order."""
+        return list(self._by_original.values())
+
+    def dirty_entries(self) -> list[BlockTableEntry]:
+        return [entry for entry in self._by_original.values() if entry.dirty]
+
+    def occupied_reserved_blocks(self) -> set[int]:
+        return set(self._by_reserved)
+
+    def clear(self) -> None:
+        self._by_original.clear()
+        self._by_reserved.clear()
+
+    # ------------------------------------------------------------------
+    # On-disk copy and crash recovery
+    # ------------------------------------------------------------------
+
+    def write_to_disk(self) -> None:
+        """Flush the current table to its reserved-area disk copy."""
+        self._disk_copy = {
+            entry.original_block: (entry.reserved_block, entry.dirty)
+            for entry in self._by_original.values()
+        }
+
+    def disk_copy(self) -> dict[int, tuple[int, bool]]:
+        """A snapshot view of the on-disk table (for tests/inspection)."""
+        return dict(self._disk_copy)
+
+    def crash(self) -> None:
+        """Simulate a system crash: the in-memory table is lost."""
+        self._by_original.clear()
+        self._by_reserved.clear()
+
+    def recover(self) -> None:
+        """Rebuild the in-memory table from the disk copy after a crash."""
+        self._by_original.clear()
+        self._by_reserved.clear()
+        for original, (reserved, __) in self._disk_copy.items():
+            entry = BlockTableEntry(original, reserved, dirty=True)
+            self._by_original[original] = entry
+            self._by_reserved[reserved] = original
+
+
 
 IMPLEMENTATIONS = [BlockTable, DictBlockTable]
 
@@ -328,3 +445,75 @@ def test_array_table_matches_dict_table_under_stress(seed):
                 reserved_probe
             ) == dict_table.original_of(reserved_probe)
         assert _observable_state(array_table) == _observable_state(dict_table)
+
+
+class TestGrowth:
+    """The array table's address-space growth paths, checked against the
+    dict oracle: pre-sized by ``reserve``, grown by ``add`` and by
+    ``recover``."""
+
+    RESERVED = 1000
+
+    def _pair(self):
+        table = BlockTable(capacity=16)
+        table.reserve(self.RESERVED)
+        return table, DictBlockTable(capacity=16)
+
+    def test_reserve_sizes_both_arrays_absent(self):
+        table = BlockTable()
+        table.reserve(self.RESERVED)
+        assert len(table._forward) == len(table._reverse) == self.RESERVED
+        assert set(table._forward) == set(table._reverse) == {-1}
+        assert table._dirty == bytearray(self.RESERVED)
+        table.reserve(10)  # never shrinks
+        assert len(table._forward) == self.RESERVED
+
+    def test_add_at_last_reserved_block(self):
+        table, oracle = self._pair()
+        last = self.RESERVED - 1
+        assert table.add(last, last) == oracle.add(last, last)
+        assert len(table._forward) == len(table._reverse) == self.RESERVED
+        table.mark_dirty(last)
+        oracle.mark_dirty(last)
+        assert _observable_state(table) == _observable_state(oracle)
+        assert table.original_of(last) == oracle.original_of(last) == last
+
+    def test_add_past_reserved_size_grows(self):
+        table, oracle = self._pair()
+        beyond = self.RESERVED + 250
+        assert table.add(beyond, beyond + 7) == oracle.add(beyond, beyond + 7)
+        assert table.add(3, beyond + 900) == oracle.add(3, beyond + 900)
+        assert len(table._forward) == beyond + 1
+        assert len(table._reverse) == beyond + 901
+        assert len(table._dirty) == beyond + 1
+        assert set(table._forward[self.RESERVED:beyond]) == {-1}
+        for block in (beyond - 1, beyond, beyond + 1):
+            assert table.reserved_of(block) == oracle.reserved_of(block)
+            assert table.original_of(block + 7) == oracle.original_of(block + 7)
+        assert _observable_state(table) == _observable_state(oracle)
+
+    def test_recover_entries_beyond_reserved_size(self):
+        table, oracle = self._pair()
+        pairs = [(5, 2 * self.RESERVED), (self.RESERVED + 40, 7),
+                 (3 * self.RESERVED, 3 * self.RESERVED + 1)]
+        for t in (table, oracle):
+            for original, reserved in pairs:
+                t.add(original, reserved)
+            t.mark_dirty(5)
+            t.write_to_disk()
+            t.crash()
+        # A crashed table that never grew past its reservation on its own
+        # must regrow from the disk copy alone.
+        fresh = BlockTable(capacity=16)
+        fresh.reserve(self.RESERVED)
+        fresh._disk_map = table.disk_copy()
+        for t in (table, oracle, fresh):
+            t.recover()
+        assert _observable_state(table) == _observable_state(oracle)
+        assert [
+            (e.original_block, e.reserved_block, e.dirty)
+            for e in fresh.entries()
+        ] == [(o, r, True) for o, r in pairs]
+        for original, reserved in pairs:
+            assert fresh.reserved_of(original) == reserved
+            assert fresh.original_of(reserved) == original

@@ -30,9 +30,10 @@ from repro.sim.jobs import batch_job, sequential_job
 from repro.stats.metrics import DayMetrics
 
 
-def _experiment_digests(fast: bool, **overrides) -> list[str]:
-    """Per-day metrics digests of a two-day off/on experiment."""
-    config = make_config("system", hours=0.05, fast=fast, **overrides)
+def _experiment_digests(fast: bool, hours: float = 0.05, **overrides):
+    """Per-day metrics digests of a two-day off/on experiment, with its
+    online-migration counters and dispatched-event count."""
+    config = make_config("system", hours=hours, fast=fast, **overrides)
     experiment = Experiment(config)
     schedule = [False, True]
     digests = []
@@ -42,7 +43,11 @@ def _experiment_digests(fast: bool, **overrides) -> list[str]:
             rearranged=on_today, rearrange_tomorrow=on_tomorrow
         )
         digests.append(metrics_digest(day_metrics_payload(result.metrics)))
-    return digests
+    return (
+        digests,
+        experiment.controller.online_stats,
+        experiment.events_dispatched,
+    )
 
 
 def _run_jobs(make_jobs, fast: bool, crash_ms: float | None = None):
@@ -130,3 +135,17 @@ def test_randomized_equivalence_stress(seed):
         assert _experiment_digests(True, **overrides) == _experiment_digests(
             False, **overrides
         ), f"digest divergence for {overrides}"
+
+
+def test_online_day_crossing_idle_windows_matches_scalar():
+    """Sequential job starts must reach the bus while the online policy's
+    idle detector listens for them: absorbing them in the kernel let it
+    validate idle windows the scalar engine rejects.  In steps of 0.1 h,
+    1.4-hour days are the shortest at which seed 1993 showed that
+    divergence (one window and one event apart); 0.5-hour days agree
+    either way."""
+    overrides = dict(disk="toshiba", seed=1993, policy="online", hours=1.4)
+    fast = _experiment_digests(True, **overrides)
+    scalar = _experiment_digests(False, **overrides)
+    assert fast[1] == scalar[1]
+    assert fast == scalar
