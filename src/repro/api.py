@@ -9,9 +9,8 @@ Scripts and notebooks should import from here::
 
 Deep imports (``repro.sim.experiment`` and friends) keep working, but
 their layout may shift between releases; renamed keywords get one release
-of :class:`DeprecationWarning` and are then removed with an error naming
-the replacement (see ``docs/api.md``).  The names in this module's
-``__all__`` do not break.
+of :class:`DeprecationWarning` and are then removed (see
+``docs/api.md``).  The names in this module's ``__all__`` do not break.
 
 Every function returns the library's typed result objects —
 :class:`~repro.sim.experiment.DayResult`,
@@ -27,7 +26,6 @@ from typing import Sequence
 
 from pathlib import Path
 
-from ._compat import removed_alias
 from .bench import BenchReport, get_scenarios, run_suite
 from .fleet import FleetResult, FleetSpec
 from .fleet import run_fleet as _run_fleet
@@ -114,7 +112,6 @@ def make_config(
     return ExperimentConfig(profile=profile, disk=disk, seed=seed, **overrides)
 
 
-@removed_alias(rearranged="policy")
 def simulate_day(
     config: ExperimentConfig | SsdConfig | None = None,
     *,
@@ -142,9 +139,7 @@ def simulate_day(
     ``hours``/``seed`` shorthand.  With ``disk="ssd"`` (or an
     :class:`SsdConfig`) the day runs through the page-mapped FTL instead
     and returns an :class:`SsdDayResult`; there ``policy`` decides
-    hot/cold write separation, not block moves (``docs/ftl.md``).  The
-    removed ``rearranged=`` boolean raises a :class:`TypeError` naming
-    ``policy=``.
+    hot/cold write separation, not block moves (``docs/ftl.md``).
     """
     if config is None:
         config = make_config(profile, disk, hours=hours, seed=seed)
@@ -206,7 +201,6 @@ def replay_trace(
     target_blocks: int | None = None,
     source_span: int | None = None,
     tracer: Tracer = NULL_TRACER,
-    fast: bool = True,
 ) -> TraceReplayResult | SsdReplayResult:
     """Ingest a raw block trace and replay it through the driver.
 
@@ -224,9 +218,7 @@ def replay_trace(
     (``docs/ftl.md``) and returns an :class:`SsdReplayResult` — write
     amplification, GC and mapping-cache counters instead of seek
     metrics; ``rearrange=True`` there pre-trains hot/cold write
-    separation on the trace.  ``fast`` toggles the batch simulation
-    kernel (:mod:`repro.sim.vector`); metrics are bit-identical either
-    way.
+    separation on the trace.
 
     Deterministic end to end: the same file and options produce
     bit-identical metrics on every run.  See ``docs/traces.md``.
@@ -250,7 +242,6 @@ def replay_trace(
         rearrange=rearrange,
         num_blocks=num_blocks,
         tracer=tracer,
-        fast=fast,
     )
     result.ingest = ingested
     return result

@@ -2,11 +2,14 @@
 multi-device engine, and the paper's day-by-day experiment campaigns.
 
 The core (events, jobs, engine) is imported eagerly.  The campaign layer
-(:mod:`~repro.sim.experiment`, :mod:`~repro.sim.multifs`) is resolved
+(:mod:`~repro.sim.rig`, :mod:`~repro.sim.experiment`,
+:mod:`~repro.sim.multifs`, :mod:`~repro.sim.ssd`) is resolved
 lazily on first attribute access: it depends on :mod:`repro.workload`,
 which itself builds :mod:`~repro.sim.jobs` objects — loading it here
 eagerly would make ``import repro.workload`` circular.
 """
+
+import importlib
 
 from .engine import DeviceState, Simulation
 from .events import (
@@ -22,49 +25,40 @@ from .events import (
 )
 from .jobs import Job, Step, batch_job, sequential_job
 
-_EXPERIMENT_NAMES = {
-    "CampaignResult",
-    "DayResult",
-    "Experiment",
-    "ExperimentConfig",
-    "PAPER_REARRANGED_BLOCKS",
-    "PAPER_RESERVED_CYLINDERS",
-    "alternating_schedule",
-    "run_block_count_sweep",
-    "run_block_count_sweep_parallel",
-    "run_campaign",
-    "run_campaigns_parallel",
-    "run_onoff_campaign",
-    "run_policy_campaign",
+_LAZY_MODULES = {
+    "experiment": (
+        "CampaignResult",
+        "DayResult",
+        "Experiment",
+        "ExperimentConfig",
+        "alternating_schedule",
+        "run_block_count_sweep",
+        "run_block_count_sweep_parallel",
+        "run_campaign",
+        "run_campaigns_parallel",
+        "run_onoff_campaign",
+        "run_policy_campaign",
+    ),
+    "multifs": (
+        "DiskSpec",
+        "FileSystemSpec",
+        "MultiDiskDayResult",
+        "MultiDiskExperiment",
+        "MultiFSDayResult",
+        "MultiFSExperiment",
+    ),
+    "rig": ("PAPER_REARRANGED_BLOCKS", "PAPER_RESERVED_CYLINDERS"),
+    "ssd": ("SsdConfig", "SsdDayResult", "SsdExperiment"),
 }
-_MULTIFS_NAMES = {
-    "DiskSpec",
-    "FileSystemSpec",
-    "MultiDiskDayResult",
-    "MultiDiskExperiment",
-    "MultiFSDayResult",
-    "MultiFSExperiment",
-}
-_SSD_NAMES = {
-    "SsdConfig",
-    "SsdDayResult",
-    "SsdExperiment",
+_LAZY_NAMES = {
+    name: module for module, names in _LAZY_MODULES.items() for name in names
 }
 
 
 def __getattr__(name: str):
-    if name in _EXPERIMENT_NAMES:
-        from . import experiment
-
-        return getattr(experiment, name)
-    if name in _MULTIFS_NAMES:
-        from . import multifs
-
-        return getattr(multifs, name)
-    if name in _SSD_NAMES:
-        from . import ssd
-
-        return getattr(ssd, name)
+    if name in _LAZY_NAMES:
+        module = importlib.import_module(f".{_LAZY_NAMES[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -24,35 +24,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .._compat import removed_alias, removed_name
-from ..parallel import fan_out, spawn_seeds
-from ..parallel import resolve_workers as resolve_workers  # re-export
-from ..core.analyzer import ReferenceStreamAnalyzer
-from ..core.counters import COUNTER_STRATEGIES, DEFAULT_FADING
-from ..core.arranger import BlockArranger
-from ..core.controller import RearrangementController
-from ..core.placement import make_policy
-from ..disk.disk import Disk
-from ..disk.label import DiskLabel
-from ..disk.models import DiskModel, disk_model
-from ..driver.driver import AdaptiveDiskDriver
-from ..driver.ioctl import IoctlInterface
-from ..driver.queue import make_queue
+from ..core.counters import COUNTER_STRATEGIES
 from ..faults.plan import FaultPlan
 from ..obs.tracer import NULL_TRACER, Tracer
+from ..parallel import fan_out, spawn_seeds
 from ..policy import RearrangementPolicy, resolve_policy
 from ..stats.metrics import DayMetrics
-from ..workload.generator import DayWorkload, WorkloadGenerator
 from ..workload.profiles import WorkloadProfile, profile_for_disk
-from .engine import Simulation
-
-PAPER_RESERVED_CYLINDERS = {"toshiba": 48, "fujitsu": 80, "modern": 64}
-PAPER_REARRANGED_BLOCKS = {"toshiba": 1018, "fujitsu": 3500, "modern": 8000}
-
-# Default Space-Saving sketch size: generously above the number of blocks
-# rearranged nightly, so the top-num_blocks ranking is trustworthy (the
-# sketch's error bound shrinks as capacity / distinct-blocks grows).
-MIN_SKETCH_CAPACITY = 4096
+from .rig import (
+    PAPER_REARRANGED_BLOCKS,
+    PAPER_RESERVED_CYLINDERS,
+    Night,
+    analyzer_capacity_for,
+    build_disk_rig,
+    make_partition,
+    paper_default,
+    run_rigs,
+)
 
 
 @dataclass(frozen=True)
@@ -85,12 +73,6 @@ class ExperimentConfig:
     """*When* rearrangement runs: a :class:`~repro.policy
     .RearrangementPolicy` instance or shorthand (``"nightly"``,
     ``"online"``, ``"off"``).  ``None`` means the paper's nightly cycle."""
-    fast: bool = True
-    """Run each day through the batch simulation kernel
-    (:mod:`repro.sim.vector`).  Metrics are bit-identical either way —
-    the kernel falls back to the scalar engine at every interaction
-    point — so this is purely a throughput knob, on by default and
-    exposed as ``--no-fast`` on the bench CLI for A/B verification."""
 
     def __post_init__(self) -> None:
         if self.counter not in COUNTER_STRATEGIES:
@@ -101,77 +83,23 @@ class ExperimentConfig:
         resolve_policy(self.policy)  # validate early; resolved per use
 
     def resolved_reserved_cylinders(self) -> int:
-        if self.reserved_cylinders is not None:
-            return self.reserved_cylinders
-        return PAPER_RESERVED_CYLINDERS[self.disk]
+        return paper_default(
+            PAPER_RESERVED_CYLINDERS, self.disk, self.reserved_cylinders
+        )
 
     def resolved_num_blocks(self) -> int:
-        if self.num_blocks is not None:
-            return self.num_blocks
-        return PAPER_REARRANGED_BLOCKS[self.disk]
+        return paper_default(PAPER_REARRANGED_BLOCKS, self.disk, self.num_blocks)
 
     def resolved_policy(self) -> RearrangementPolicy:
         """The :attr:`policy` as a policy instance (``None`` → nightly)."""
         return resolve_policy(self.policy)
 
     def resolved_analyzer_capacity(self) -> int | None:
-        """The analyzer's list/sketch size.
-
-        The exact counter defaults to unbounded (the paper's setup); the
-        ``spacesaving`` sketch needs a bound, defaulting to four times the
-        nightly rearrangement count (at least ``MIN_SKETCH_CAPACITY``).
-        """
-        if self.analyzer_capacity is not None:
-            return self.analyzer_capacity
-        if self.counter == "spacesaving":
-            return max(MIN_SKETCH_CAPACITY, 4 * self.resolved_num_blocks())
-        return None
-
-    def __getattr__(self, name: str):
-        if name == "num_rearranged":
-            raise removed_name(
-                "ExperimentConfig.num_rearranged", "ExperimentConfig.num_blocks"
-            )
-        if name == "resolved_num_rearranged":
-            raise removed_name(
-                "ExperimentConfig.resolved_num_rearranged()",
-                "ExperimentConfig.resolved_num_blocks()",
-            )
-        raise AttributeError(name)
-
-
-ExperimentConfig.__init__ = removed_alias(num_rearranged="num_blocks")(
-    ExperimentConfig.__init__
-)
-
-
-def make_partition(label: DiskLabel, profile: WorkloadProfile):
-    """Lay out the file system's partition per the profile's band.
-
-    ``"full"`` covers the whole virtual disk.  ``"center"`` is a home
-    partition occupying the middle 40% of the virtual disk — the slice
-    whose physical cylinders bracket the reserved area — with outer
-    dummy partitions standing in for root and swap.
-
-    Shared by the disk :class:`Experiment` and the SSD experiment
-    (:mod:`repro.sim.ssd`): both must carve the identical partition from
-    the identical virtual span so one workload stream drives both
-    backends.
-    """
-    total = label.virtual_total_blocks
-    if profile.partition_band == "center":
-        per_cyl = label.geometry.blocks_per_cylinder
-        # Start two cylinder groups below the hidden reserved area so
-        # that a first-fit-growing file system surrounds it.
-        assert label.reserved_start_cylinder is not None
-        start_cyl = max(
-            0,
-            label.reserved_start_cylinder - 2 * profile.cylinders_per_group,
+        """The analyzer's list/sketch size (see
+        :func:`repro.sim.rig.analyzer_capacity_for`)."""
+        return analyzer_capacity_for(
+            self.counter, self.resolved_num_blocks(), self.analyzer_capacity
         )
-        if start_cyl > 0:
-            label.add_partition("root", start_cyl * per_cyl)
-        return label.add_partition("home", total - start_cyl * per_cyl)
-    return label.add_partition("fs0", total)
 
 
 @dataclass
@@ -211,70 +139,33 @@ class Experiment:
     ) -> None:
         self.config = config
         self.tracer = tracer
-        self.model: DiskModel = disk_model(config.disk)
-        geometry = self.model.geometry
-        reserved = config.resolved_reserved_cylinders()
-        start_cylinder = None
-        if not config.reserved_center:
-            start_cylinder = geometry.cylinders - reserved
-        self.label = DiskLabel(
-            geometry=geometry,
-            reserved_cylinders=reserved,
-            reserved_start_cylinder=start_cylinder,
+        self.rig = build_disk_rig(
+            config.disk,
+            reserved_cylinders=config.reserved_cylinders,
+            reserved_center=config.reserved_center,
+            num_blocks=config.num_blocks,
+            queue_policy=config.queue_policy,
+            faults=config.faults,
+            policy=config.policy,
+            placement_policy=config.placement_policy,
+            counter=config.counter,
+            analyzer_capacity=config.analyzer_capacity,
+            analyzer_heuristic=config.analyzer_heuristic,
+            counter_fading=config.counter_fading,
         )
-        profile = profile_for_disk(config.profile, config.disk)
-        partition = self._make_partition(profile)
-        self.disk = Disk(self.model)
-        plan = config.faults
-        if plan is not None and plan.is_empty:
-            plan = None  # an empty plan must behave exactly like no plan
-        self.driver = AdaptiveDiskDriver(
-            disk=self.disk,
-            label=self.label,
-            queue=make_queue(config.queue_policy),
-            faults=plan.injector() if plan is not None else None,
-        )
+        self.model = self.rig.model
+        self.label = self.rig.label
+        self.driver = self.rig.driver
         self.driver.request_monitor.capacity = config.monitor_capacity
-        self.ioctl = IoctlInterface(self.driver)
-        self.controller = RearrangementController(
-            ioctl=self.ioctl,
-            policy=config.resolved_policy(),
-            analyzer=ReferenceStreamAnalyzer(
-                capacity=config.resolved_analyzer_capacity(),
-                heuristic=config.analyzer_heuristic,
-                counter=config.counter,
-                fading=(
-                    config.counter_fading
-                    if config.counter_fading is not None
-                    else DEFAULT_FADING
-                ),
-            ),
-            arranger=BlockArranger(
-                self.ioctl, policy=make_policy(config.placement_policy)
-            ),
-            max_error_rate=(
-                plan.degrade_threshold if plan is not None else None
-            ),
-            degrade_action=(
-                plan.degrade_action if plan is not None else "clean"
-            ),
-        )
-        self.generator = WorkloadGenerator(
-            profile=profile,
-            partition=partition,
-            blocks_per_cylinder=geometry.blocks_per_cylinder,
-            seed=config.seed,
+        self.ioctl = self.rig.ioctl
+        self.controller = self.rig.controller
+        profile = profile_for_disk(config.profile, config.disk)
+        self.generator = self.rig.add_generator(
+            profile, make_partition(self.label, profile), config.seed
         )
         self._day_index = 0
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""
-
-    def _make_partition(self, profile: WorkloadProfile):
-        return make_partition(self.label, profile)
-
-    # ------------------------------------------------------------------
-    # One day
-    # ------------------------------------------------------------------
 
     def run_day(
         self,
@@ -293,52 +184,27 @@ class Experiment:
         """
         day = self._day_index
         self._day_index += 1
-        workload: DayWorkload = self.generator.generate_day()
-
-        simulation = Simulation(
-            self.driver, tracer=self.tracer, fast=self.config.fast
-        )
-        self.controller.attach_to(simulation)
-        simulation.add_jobs(workload.jobs)
-        if self.driver.faults is not None:
-            # Each day is a fresh Simulation starting at t=0, so timed
-            # crashes are (day, offset) pairs claimed day by day.
-            for offset in self.driver.faults.claim_crash_times(day):
-                simulation.schedule_crash(offset)
-        simulation.run()
-        end_of_day = simulation.now_ms
-        self.events_dispatched += simulation.events_dispatched
-
-        tables = self.ioctl.read_stats()
-        metrics = DayMetrics.from_tables(
-            tables, self.model.seek, day=day, rearranged=rearranged
-        )
-        blocks_in_table = len(self.driver.block_table)
-        blocks = (
-            num_blocks_tomorrow
-            if num_blocks_tomorrow is not None
-            else self.config.resolved_num_blocks()
-        )
-        if keep_arrangement:
-            self.controller.final_poll()
-            self.controller.analyzer.reset()
-        else:
-            self.controller.end_of_day(
-                now_ms=end_of_day,
+        run = run_rigs(
+            [self.rig],
+            day=day,
+            rearranged=rearranged,
+            night=Night(
                 rearrange_tomorrow=rearrange_tomorrow,
-                num_blocks=blocks,
-            )
-        # The bus subscriptions keep the day's Simulation (and through it
-        # the driver stack) in a reference cycle; close it so long serial
-        # campaigns free each day by refcount instead of gc timing.
-        simulation.close()
+                num_blocks=num_blocks_tomorrow,
+                keep_arrangement=keep_arrangement,
+            ),
+            tracer=self.tracer,
+        )
+        self.events_dispatched += run.events
+        (folded,) = run.folds
+        (workload,) = folded.workloads
         return DayResult(
-            metrics=metrics,
+            metrics=folded.metrics,
             workload_requests=workload.num_requests,
             workload_reads=workload.num_reads,
             read_counts=workload.read_counts,
             all_counts=workload.all_counts,
-            rearranged_blocks=blocks_in_table,
+            rearranged_blocks=folded.rearranged_blocks,
         )
 
 
@@ -437,8 +303,7 @@ def run_block_count_sweep(
 #
 # The multiprocessing machinery itself lives in :mod:`repro.parallel`
 # (shared with the fleet shard runner); this section only defines the
-# campaign-shaped task types.  ``resolve_workers`` is re-exported for
-# callers that historically imported it from here.
+# campaign-shaped task types.
 
 CampaignTask = tuple[str, ExperimentConfig, Sequence[bool]]
 """One unit of parallel work: ``(key, config, on/off schedule)``."""

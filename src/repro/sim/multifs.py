@@ -22,24 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .._compat import removed_alias, removed_name
-from ..core.analyzer import ReferenceStreamAnalyzer
-from ..core.arranger import BlockArranger
-from ..core.controller import RearrangementController
-from ..core.placement import make_policy
-from ..disk.disk import Disk
-from ..disk.label import DiskLabel, Partition
-from ..disk.models import DiskModel, disk_model
-from ..driver.driver import AdaptiveDiskDriver
-from ..driver.ioctl import IoctlInterface
-from ..driver.queue import make_queue
+from ..disk.label import Partition
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..policy import RearrangementPolicy, resolve_policy
+from ..policy import RearrangementPolicy
 from ..stats.metrics import DayMetrics
-from ..workload.generator import WorkloadGenerator
 from ..workload.profiles import WorkloadProfile, profile_for_disk
 from ..workload.tenancy import SharedHotSet
-from .engine import Simulation
+from .rig import DiskRig, Night, build_disk_rig, run_rigs
 
 
 @dataclass(frozen=True)
@@ -68,7 +57,6 @@ class MultiFSDayResult:
 class MultiFSExperiment:
     """One disk, one reserved area, several file systems."""
 
-    @removed_alias(num_rearranged="num_blocks")
     def __init__(
         self,
         specs: list[FileSystemSpec],
@@ -78,73 +66,37 @@ class MultiFSExperiment:
         placement_policy: str = "organ-pipe",
         queue_policy: str = "scan",
         tracer: Tracer = NULL_TRACER,
-        fast: bool = True,
     ) -> None:
         self.tracer = tracer
-        self.fast = fast
         if not specs:
             raise ValueError("need at least one file system")
         if sum(spec.fraction for spec in specs) > 1.0 + 1e-9:
             raise ValueError("partition fractions exceed the disk")
-        self.model = disk_model(disk)
-        from .experiment import PAPER_REARRANGED_BLOCKS, PAPER_RESERVED_CYLINDERS
-
-        reserved = (
-            reserved_cylinders
-            if reserved_cylinders is not None
-            else PAPER_RESERVED_CYLINDERS[disk]
+        self.rig = build_disk_rig(
+            disk,
+            reserved_cylinders=reserved_cylinders,
+            num_blocks=num_blocks,
+            placement_policy=placement_policy,
+            queue_policy=queue_policy,
         )
-        self.num_blocks = (
-            num_blocks
-            if num_blocks is not None
-            else PAPER_REARRANGED_BLOCKS[disk]
-        )
-        self.label = DiskLabel(self.model.geometry, reserved_cylinders=reserved)
-        self.disk = Disk(self.model)
-        self.driver = AdaptiveDiskDriver(
-            disk=self.disk, label=self.label, queue=make_queue(queue_policy)
-        )
-        self.ioctl = IoctlInterface(self.driver)
-        self.controller = RearrangementController(
-            ioctl=self.ioctl,
-            analyzer=ReferenceStreamAnalyzer(),
-            arranger=BlockArranger(
-                self.ioctl, policy=make_policy(placement_policy)
-            ),
-        )
-
+        self.model = self.rig.model
+        self.label = self.rig.label
+        self.driver = self.rig.driver
+        self.controller = self.rig.controller
+        self.num_blocks = self.rig.num_blocks
         total = self.label.virtual_total_blocks
         self.partitions: list[Partition] = []
-        self.generators: list[WorkloadGenerator] = []
         for index, spec in enumerate(specs):
-            size = int(total * spec.fraction)
             partition = self.label.add_partition(
-                f"fs{index}-{spec.profile.name}", size
+                f"fs{index}-{spec.profile.name}", int(total * spec.fraction)
             )
             self.partitions.append(partition)
-            self.generators.append(
-                WorkloadGenerator(
-                    spec.profile,
-                    partition,
-                    self.model.geometry.blocks_per_cylinder,
-                    seed=spec.seed,
-                )
-            )
+            self.rig.add_generator(spec.profile, partition, spec.seed)
+        self.rig.fs_partitions = self.partitions
+        self.generators = self.rig.generators
         self._day = 0
-
-    # ------------------------------------------------------------------
-
-    def _partition_of(self, logical_block: int) -> Partition | None:
-        for partition in self.partitions:
-            if partition.contains(logical_block):
-                return partition
-        return None
-
-    @property
-    def num_rearranged(self) -> int:
-        raise removed_name(
-            "MultiFSExperiment.num_rearranged", "MultiFSExperiment.num_blocks"
-        )
+        self.events_dispatched = 0
+        """Simulation events processed across every day run so far."""
 
     def run_day(
         self, rearranged: bool, rearrange_tomorrow: bool
@@ -152,47 +104,25 @@ class MultiFSExperiment:
         """One day: merge every file system's jobs on the shared disk."""
         day = self._day
         self._day += 1
-
-        per_fs_requests: dict[str, int] = {}
-        simulation = Simulation(
-            self.driver, tracer=self.tracer, fast=self.fast
-        )
-        self.controller.attach_to(simulation)
-        for partition, generator in zip(self.partitions, self.generators):
-            workload = generator.generate_day()
-            per_fs_requests[partition.name] = workload.num_requests
-            simulation.add_jobs(workload.jobs)
-        simulation.run()
-
-        metrics = DayMetrics.from_tables(
-            self.ioctl.read_stats(),
-            self.model.seek,
+        run = run_rigs(
+            [self.rig],
             day=day,
             rearranged=rearranged,
+            night=Night(rearrange_tomorrow=rearrange_tomorrow),
+            tracer=self.tracer,
         )
-        blocks_in_table = len(self.driver.block_table)
-        rearranged_per_fs: dict[str, int] = {}
-        for entry in self.driver.block_table.entries():
-            logical = self.label.physical_to_virtual_block(
-                entry.original_block
-            )
-            partition = self._partition_of(logical)
-            if partition is not None:
-                rearranged_per_fs[partition.name] = (
-                    rearranged_per_fs.get(partition.name, 0) + 1
-                )
-
-        self.controller.end_of_day(
-            now_ms=simulation.now_ms,
-            rearrange_tomorrow=rearrange_tomorrow,
-            num_blocks=self.num_blocks,
-        )
-        simulation.close()
+        self.events_dispatched += run.events
+        (folded,) = run.folds
         return MultiFSDayResult(
-            metrics=metrics,
-            per_fs_requests=per_fs_requests,
-            rearranged_blocks=blocks_in_table,
-            rearranged_per_fs=rearranged_per_fs,
+            metrics=folded.metrics,
+            per_fs_requests={
+                partition.name: workload.num_requests
+                for partition, workload in zip(
+                    self.partitions, folded.workloads
+                )
+            },
+            rearranged_blocks=folded.rearranged_blocks,
+            rearranged_per_fs=folded.rearranged_per_fs,
         )
 
 
@@ -228,28 +158,6 @@ class DiskSpec:
     """Rearrangement policy for this device (instance or shorthand);
     ``None`` keeps the nightly cycle."""
 
-    @property
-    def num_rearranged(self) -> int | None:
-        raise removed_name("DiskSpec.num_rearranged", "DiskSpec.num_blocks")
-
-
-DiskSpec.__init__ = removed_alias(num_rearranged="num_blocks")(
-    DiskSpec.__init__
-)
-
-
-@dataclass
-class _DiskRig:
-    """Everything assembled around one physical disk."""
-
-    name: str
-    model: DiskModel
-    driver: AdaptiveDiskDriver
-    ioctl: IoctlInterface
-    controller: RearrangementController
-    generator: WorkloadGenerator
-    num_blocks: int
-
 
 @dataclass
 class MultiDiskDayResult:
@@ -277,75 +185,36 @@ class MultiDiskExperiment:
         self,
         specs: list[DiskSpec],
         tracer: Tracer = NULL_TRACER,
-        fast: bool = True,
     ) -> None:
-        from .experiment import (
-            MIN_SKETCH_CAPACITY,
-            PAPER_REARRANGED_BLOCKS,
-            PAPER_RESERVED_CYLINDERS,
-        )
-
         if not specs:
             raise ValueError("need at least one disk")
         self.tracer = tracer
-        self.fast = fast
-        self.rigs: dict[str, _DiskRig] = {}
+        self.rigs: dict[str, DiskRig] = {}
         for index, spec in enumerate(specs):
             name = spec.name or f"{spec.disk}{index}"
             if name in self.rigs:
                 raise ValueError(f"duplicate device name {name!r}")
-            model = disk_model(spec.disk)
-            reserved = (
-                spec.reserved_cylinders
-                if spec.reserved_cylinders is not None
-                else PAPER_RESERVED_CYLINDERS[spec.disk]
-            )
-            num_blocks = (
-                spec.num_blocks
-                if spec.num_blocks is not None
-                else PAPER_REARRANGED_BLOCKS[spec.disk]
-            )
-            capacity = spec.analyzer_capacity
-            if capacity is None and spec.counter == "spacesaving":
-                capacity = max(MIN_SKETCH_CAPACITY, 4 * num_blocks)
-            label = DiskLabel(model.geometry, reserved_cylinders=reserved)
-            driver = AdaptiveDiskDriver(
-                disk=Disk(model),
-                label=label,
-                queue=make_queue(spec.queue_policy),
+            rig = build_disk_rig(
+                spec.disk,
                 name=name,
+                reserved_cylinders=spec.reserved_cylinders,
+                num_blocks=spec.num_blocks,
+                queue_policy=spec.queue_policy,
+                policy=spec.policy,
+                placement_policy=spec.placement_policy,
+                counter=spec.counter,
+                analyzer_capacity=spec.analyzer_capacity,
             )
-            ioctl = IoctlInterface(driver)
-            controller = RearrangementController(
-                ioctl=ioctl,
-                analyzer=ReferenceStreamAnalyzer(
-                    counter=spec.counter, capacity=capacity
+            # One full-disk file system, whatever the profile's band.
+            rig.add_generator(
+                profile_for_disk(spec.profile, spec.disk),
+                rig.label.add_partition(
+                    f"{name}-fs", rig.label.virtual_total_blocks
                 ),
-                arranger=BlockArranger(
-                    ioctl, policy=make_policy(spec.placement_policy)
-                ),
-                policy=resolve_policy(spec.policy),
-            )
-            profile = profile_for_disk(spec.profile, spec.disk)
-            partition = label.add_partition(
-                f"{name}-fs", label.virtual_total_blocks
-            )
-            generator = WorkloadGenerator(
-                profile,
-                partition,
-                model.geometry.blocks_per_cylinder,
-                seed=spec.seed,
+                spec.seed,
                 shared_hot=spec.shared_hot,
             )
-            self.rigs[name] = _DiskRig(
-                name=name,
-                model=model,
-                driver=driver,
-                ioctl=ioctl,
-                controller=controller,
-                generator=generator,
-                num_blocks=num_blocks,
-            )
+            self.rigs[name] = rig
         self._day = 0
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""
@@ -360,41 +229,17 @@ class MultiDiskExperiment:
         """One day: every disk serves its own workload on a shared clock."""
         day = self._day
         self._day += 1
-
-        simulation = Simulation(
-            drivers={name: rig.driver for name, rig in self.rigs.items()},
+        run = run_rigs(
+            list(self.rigs.values()),
+            day=day,
+            rearranged=rearranged,
+            night=Night(rearrange_tomorrow=rearrange_tomorrow),
             tracer=self.tracer,
-            fast=self.fast,
         )
-        per_device_requests: dict[str, int] = {}
-        for name, rig in self.rigs.items():
-            rig.controller.attach_to(simulation)
-            workload = rig.generator.generate_day()
-            per_device_requests[name] = workload.num_requests
-            simulation.add_jobs(workload.jobs, device=name)
-        simulation.run()
-        end_of_day = simulation.now_ms
-        self.events_dispatched += simulation.events_dispatched
-
-        per_device: dict[str, DayMetrics] = {}
-        rearranged_blocks: dict[str, int] = {}
-        for name, rig in self.rigs.items():
-            per_device[name] = DayMetrics.from_tables(
-                rig.ioctl.read_stats(),
-                rig.model.seek,
-                day=day,
-                rearranged=rearranged,
-            )
-            rearranged_blocks[name] = len(rig.driver.block_table)
-        for rig in self.rigs.values():
-            rig.controller.end_of_day(
-                now_ms=end_of_day,
-                rearrange_tomorrow=rearrange_tomorrow,
-                num_blocks=rig.num_blocks,
-            )
-        simulation.close()
-        return MultiDiskDayResult(
-            per_device=per_device,
-            per_device_requests=per_device_requests,
-            rearranged_blocks=rearranged_blocks,
-        )
+        self.events_dispatched += run.events
+        result = MultiDiskDayResult({}, {}, {})
+        for name, folded in zip(self.rigs, run.folds):
+            result.per_device[name] = folded.metrics
+            result.per_device_requests[name] = folded.workloads[0].num_requests
+            result.rearranged_blocks[name] = folded.rearranged_blocks
+        return result

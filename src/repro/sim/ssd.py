@@ -21,18 +21,20 @@ count-aging rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from ..core.counters import DEFAULT_FADING, SpaceSavingSketch
-from ..disk.label import DiskLabel
-from ..disk.models import DiskModel, disk_model
-from ..driver.ftl import GC_POLICIES, FtlDriver, flash_model
+from ..disk.models import disk_model
+from ..driver.ftl import GC_POLICIES, flash_model
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..policy import RearrangementPolicy, resolve_policy
-from ..workload.generator import DayWorkload, WorkloadGenerator
 from ..workload.profiles import WorkloadProfile, profile_for_disk
-from .engine import Simulation
-from .experiment import PAPER_RESERVED_CYLINDERS, make_partition
+from .rig import (
+    Night,
+    SsdDayResult,
+    build_ftl_rig,
+    make_partition,
+    run_rigs,
+)
 
 __all__ = ["SsdConfig", "SsdDayResult", "SsdExperiment"]
 
@@ -104,53 +106,6 @@ class SsdConfig:
         }
 
 
-@dataclass
-class SsdDayResult:
-    """FTL activity and service times for one simulated day.
-
-    The counter fields are day deltas (the driver's counters are
-    cumulative across the campaign); the wear fields are cumulative —
-    wear is device state, not a rate.
-    """
-
-    day: int
-    completed: int
-    workload_requests: int
-    workload_reads: int
-    mean_response_ms: float
-    mean_service_ms: float
-    host_page_writes: int
-    flash_page_writes: int
-    write_amplification: float
-    gc_runs: int
-    gc_page_moves: int
-    cmt_hit_ratio: float
-    translation_reads: int
-    translation_writes: int
-    max_erase_count: int
-    mean_erase_count: float
-
-    def payload(self) -> dict:
-        return {
-            "day": self.day,
-            "completed": self.completed,
-            "workload_requests": self.workload_requests,
-            "workload_reads": self.workload_reads,
-            "mean_response_ms": round(self.mean_response_ms, 6),
-            "mean_service_ms": round(self.mean_service_ms, 6),
-            "host_page_writes": self.host_page_writes,
-            "flash_page_writes": self.flash_page_writes,
-            "write_amplification": round(self.write_amplification, 6),
-            "gc_runs": self.gc_runs,
-            "gc_page_moves": self.gc_page_moves,
-            "cmt_hit_ratio": round(self.cmt_hit_ratio, 6),
-            "translation_reads": self.translation_reads,
-            "translation_writes": self.translation_writes,
-            "max_erase_count": self.max_erase_count,
-            "mean_erase_count": round(self.mean_erase_count, 6),
-        }
-
-
 class SsdExperiment:
     """One assembled FTL + workload, run day by day."""
 
@@ -159,51 +114,30 @@ class SsdExperiment:
     ) -> None:
         self.config = config
         self.tracer = tracer
-        self.model: DiskModel = disk_model(config.reference_disk)
-        geometry = self.model.geometry
         # The label and partition mirror the disk Experiment exactly so
         # the generator sees the same span and produces the same days.
-        self.label = DiskLabel(
-            geometry=geometry,
-            reserved_cylinders=PAPER_RESERVED_CYLINDERS[
-                config.reference_disk
-            ],
-        )
-        profile = profile_for_disk(config.profile, config.reference_disk)
-        partition = make_partition(self.label, profile)
-        sketch = None
-        if config.separation:
-            sketch = SpaceSavingSketch(
-                capacity=config.sketch_capacity,
-                fading=(
-                    config.counter_fading
-                    if config.counter_fading is not None
-                    else DEFAULT_FADING
-                ),
-            )
-        self.driver = FtlDriver(
-            geometry=flash_model(config.flash),
-            logical_pages=self.label.virtual_total_blocks,
+        self.rig = build_ftl_rig(
+            config.reference_disk,
+            flash=config.flash,
+            separation=config.separation,
+            sketch_capacity=config.sketch_capacity,
+            counter_fading=config.counter_fading,
             cmt_capacity=config.cmt_capacity,
             gc_policy=config.gc_policy,
             gc_low_blocks=config.gc_low_blocks,
             gc_high_blocks=config.gc_high_blocks,
-            separation=config.separation,
             hot_threshold=config.hot_threshold,
-            sketch=sketch,
-            name="ssd0",
         )
-        self.driver.attach()
+        self.label = self.rig.label
+        self.driver = self.rig.driver
         if config.precondition:
             self.driver.precondition(
                 seed=config.seed,
                 target_free_blocks=config.precondition_free_blocks,
             )
-        self.generator = WorkloadGenerator(
-            profile=profile,
-            partition=partition,
-            blocks_per_cylinder=geometry.blocks_per_cylinder,
-            seed=config.seed,
+        profile = profile_for_disk(config.profile, config.reference_disk)
+        self.generator = self.rig.add_generator(
+            profile, make_partition(self.label, profile), config.seed
         )
         self._day_index = 0
         self.events_dispatched = 0
@@ -212,60 +146,9 @@ class SsdExperiment:
         """Simulate one measurement day through the FTL."""
         day = self._day_index
         self._day_index += 1
-        workload: DayWorkload = self.generator.generate_day()
-        before = replace(self.driver.stats)
-
-        simulation = Simulation(self.driver, tracer=self.tracer)
-        simulation.add_jobs(workload.jobs)
-        completed = simulation.run()
-        end_of_day = simulation.now_ms
-        self.events_dispatched += simulation.events_dispatched
-
-        stats = self.driver.stats
-        host_writes = stats.host_page_writes - before.host_page_writes
-        flash_writes = stats.flash_page_writes - before.flash_page_writes
-        hits = stats.cmt_hits - before.cmt_hits
-        lookups = hits + stats.cmt_misses - before.cmt_misses
-        responses = [r.response_ms for r in completed]
-        services = [r.service_ms for r in completed]
-        count = len(completed)
-        result = SsdDayResult(
-            day=day,
-            completed=count,
-            workload_requests=workload.num_requests,
-            workload_reads=workload.num_reads,
-            mean_response_ms=sum(responses) / count if count else 0.0,
-            mean_service_ms=sum(services) / count if count else 0.0,
-            host_page_writes=host_writes,
-            flash_page_writes=flash_writes,
-            write_amplification=(
-                flash_writes / host_writes if host_writes else 0.0
-            ),
-            gc_runs=stats.gc_runs - before.gc_runs,
-            gc_page_moves=stats.gc_page_moves - before.gc_page_moves,
-            cmt_hit_ratio=hits / lookups if lookups else 0.0,
-            translation_reads=(
-                stats.translation_reads - before.translation_reads
-            ),
-            translation_writes=(
-                stats.translation_writes - before.translation_writes
-            ),
-            max_erase_count=self.driver.max_erase_count,
-            mean_erase_count=self.driver.mean_erase_count,
-        )
-        if self.tracer is not NULL_TRACER:
-            self.tracer.wear_level(
-                self.driver.name,
-                end_of_day,
-                self.driver.max_erase_count,
-                self.driver.mean_erase_count,
-            )
-        # End-of-day count aging, exactly as the disk analyzer fades its
-        # reference counts between days.
-        if self.driver.sketch is not None:
-            self.driver.sketch.reset()
-        simulation.close()
-        return result
+        run = run_rigs([self.rig], day=day, night=Night(), tracer=self.tracer)
+        self.events_dispatched += run.events
+        return run.folds[0]
 
     def run_days(self, days: int) -> list[SsdDayResult]:
         return [self.run_day() for _ in range(days)]

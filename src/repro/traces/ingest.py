@@ -23,19 +23,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
-from ..disk.label import DiskLabel
-from ..disk.models import disk_model
 from ..sim.jobs import Job
+from ..sim.rig import paper_label
 from ..workload.generator import DayWorkload
 from ..workload.trace import dump_jobs
 from .characterize import TraceCharacter, characterize_records
 from .formats import BLOCK_BYTES, BlockIO, iter_trace
 from .mapping import AddressMapper, make_mapper
 from .rescale import DEFAULT_GAP_MS, jobs_from_records
-
-#: Reserved-cylinder counts matching the replay harness's disk labels
-#: (the paper's choices; see ``repro.sim.experiment``).
-_RESERVED_CYLINDERS = {"toshiba": 48, "fujitsu": 80}
 
 #: ``disk="ssd"`` replays through the page-mapped FTL, whose logical
 #: span mirrors this reference disk's label — the same convention as
@@ -97,11 +92,7 @@ def default_target_blocks(disk: str) -> int:
     disk label (the flash backend serves the same logical span)."""
     if disk == "ssd":
         disk = _SSD_REFERENCE_DISK
-    model = disk_model(disk)
-    label = DiskLabel(
-        model.geometry, reserved_cylinders=_RESERVED_CYLINDERS[disk]
-    )
-    return label.virtual_total_blocks
+    return paper_label(disk).virtual_total_blocks
 
 
 def _measure_span(

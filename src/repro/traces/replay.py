@@ -23,28 +23,31 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from ..core.analyzer import ReferenceStreamAnalyzer
 from ..core.arranger import BlockArranger
 from ..core.hotlist import HotBlockList
-from ..disk.disk import Disk
-from ..disk.label import DiskLabel
-from ..disk.models import DiskModel, disk_model
-from ..driver.driver import AdaptiveDiskDriver
-from ..driver.ioctl import IoctlInterface
-from ..driver.queue import make_queue
+from ..disk.models import DiskModel
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..sim.engine import Simulation
 from ..sim.jobs import Job
+from ..sim.rig import build_disk_rig, build_ftl_rig, run_rigs
 from ..stats.metrics import DayMetrics
-from .ingest import _RESERVED_CYLINDERS, _SSD_REFERENCE_DISK, IngestResult
+from ..workload.generator import DayWorkload
+from .ingest import _SSD_REFERENCE_DISK, IngestResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..driver.ftl import FtlStats
-
-#: Default nightly rearrangement sizes (the paper's choices).
-_PAPER_BLOCKS = {"toshiba": 1018, "fujitsu": 3500}
 
 #: Fixed preconditioning seed for FTL replays: ages the drive so the
 #: replayed trace garbage-collects, while keeping the replay fully
 #: deterministic (same trace, same options, same counters every run).
 _SSD_PRECONDITION_SEED = 1993
+
+
+@dataclass
+class _TraceJobs:
+    """A fixed job list standing in for a rig's workload generator."""
+
+    jobs: list[Job]
+
+    def generate_day(self) -> DayWorkload:
+        return DayWorkload(day=0, jobs=self.jobs)
 
 
 @dataclass
@@ -78,7 +81,7 @@ class SsdReplayResult:
     interesting outcome is the FTL's own accounting — write
     amplification, GC activity, mapping-cache behaviour — plus the
     host-visible response times, mirroring
-    :class:`~repro.sim.ssd.SsdDayResult`.
+    :class:`~repro.sim.rig.SsdDayResult`.
     """
 
     completed: int
@@ -122,15 +125,13 @@ def replay_jobs(
     rearrange: bool = False,
     num_blocks: int | None = None,
     tracer: Tracer = NULL_TRACER,
-    fast: bool = True,
 ) -> TraceReplayResult | SsdReplayResult:
     """Run a job list through a freshly assembled driver.
 
     Fully deterministic: the same jobs, disk and queue produce the same
     metrics on every run (there is no randomness anywhere in the replay
     path), which is what lets the ``trace_replay`` benchmark pin its
-    metrics digest.  ``fast`` enables the batch simulation kernel
-    (:mod:`repro.sim.vector`); metrics are bit-identical either way.
+    metrics digest.
 
     ``disk="ssd"`` replays the jobs through the page-mapped FTL backend
     instead (the trace must have been mapped onto the SSD's logical span
@@ -142,60 +143,35 @@ def replay_jobs(
     """
     jobs = list(jobs)
     if disk == "ssd":
-        return _replay_jobs_ssd(
-            jobs, rearrange=rearrange, tracer=tracer, fast=fast
-        )
-    model = disk_model(disk)
-    label = DiskLabel(
-        model.geometry, reserved_cylinders=_RESERVED_CYLINDERS[disk]
-    )
-    driver = AdaptiveDiskDriver(
-        disk=Disk(model), label=label, queue=make_queue(queue)
-    )
+        return _replay_jobs_ssd(jobs, rearrange=rearrange, tracer=tracer)
+    rig = build_disk_rig(disk, queue_policy=queue, controller=False)
     rearranged_blocks = 0
     if rearrange:
         analyzer = ReferenceStreamAnalyzer()
         for job in jobs:
             for step in job.steps:
                 analyzer.observe(step.logical_block)
-        arranger = BlockArranger(IoctlInterface(driver))
         hot = HotBlockList.from_pairs(analyzer.hot_blocks())
-        blocks = num_blocks if num_blocks is not None else _PAPER_BLOCKS[disk]
-        plan, __ = arranger.rearrange(hot, blocks, now_ms=0.0)
+        plan, __ = BlockArranger(rig.ioctl).rearrange(
+            hot, rig.num_blocks if num_blocks is None else num_blocks, now_ms=0.0
+        )
         rearranged_blocks = len(plan)
-        driver.perf_monitor.read_and_clear()
-    simulation = Simulation(driver, tracer=tracer, fast=fast)
-    simulation.add_jobs(jobs)
-    completed = simulation.run()
-    metrics = DayMetrics.from_tables(
-        IoctlInterface(driver).read_stats(),
-        model.seek,
-        day=0,
-        rearranged=rearrange,
-    )
-    events = simulation.events_dispatched
-    # The batch kernel never materializes the requests it absorbs, so
-    # the completed count is the list plus the absorbed tally.
-    completed_count = len(completed) + simulation.absorbed_completions
-    simulation.close()
+        rig.driver.perf_monitor.read_and_clear()
+    rig.generators.append(_TraceJobs(jobs))
+    run = run_rigs([rig], day=0, rearranged=rearrange, tracer=tracer)
     return TraceReplayResult(
-        metrics=metrics,
-        completed=completed_count,
-        events=events,
+        metrics=run.folds[0].metrics,
+        completed=run.completed,
+        events=run.events,
         rearranged_blocks=rearranged_blocks,
         disk=disk,
         queue=queue,
-        model=model,
+        model=rig.model,
     )
 
 
 def _replay_jobs_ssd(
-    jobs: list[Job],
-    *,
-    rearrange: bool,
-    tracer: Tracer,
-    fast: bool,
-    flash: str = "ssd",
+    jobs: list[Job], *, rearrange: bool, tracer: Tracer, flash: str = "ssd"
 ) -> SsdReplayResult:
     """Replay a job list through a freshly assembled FTL.
 
@@ -205,50 +181,24 @@ def _replay_jobs_ssd(
     with a fixed seed (aged drives garbage-collect; fresh ones do not),
     keeping the replay deterministic end to end.
     """
-    # Imported here: repro.driver.ftl reaches back into repro.core, which
-    # drags in this module through the analysis layer at package init.
-    from ..core.counters import SpaceSavingSketch
-    from ..driver.ftl import FtlDriver, flash_model
-
-    reference = disk_model(_SSD_REFERENCE_DISK)
-    label = DiskLabel(
-        reference.geometry,
-        reserved_cylinders=_RESERVED_CYLINDERS[_SSD_REFERENCE_DISK],
-    )
-    separation = rearrange
-    sketch = None
-    if separation:
+    rig = build_ftl_rig(_SSD_REFERENCE_DISK, flash=flash, separation=rearrange)
+    if rearrange:
         # The trace-driven analogue of pre-training: the frequency
         # sketch observes the whole trace before any page is written.
-        sketch = SpaceSavingSketch(capacity=4096)
         for job in jobs:
             for step in job.steps:
                 if not step.op.is_read:
-                    sketch.observe(step.logical_block)
-    driver = FtlDriver(
-        geometry=flash_model(flash),
-        logical_pages=label.virtual_total_blocks,
-        separation=separation,
-        sketch=sketch,
-        name="ssd0",
-    )
-    driver.attach()
-    driver.precondition(seed=_SSD_PRECONDITION_SEED)
-    simulation = Simulation(driver, tracer=tracer, fast=fast)
-    simulation.add_jobs(jobs)
-    completed = simulation.run()
-    events = simulation.events_dispatched
-    count = len(completed)
-    responses = sum(r.response_ms for r in completed)
-    services = sum(r.service_ms for r in completed)
-    simulation.close()
+                    rig.driver.sketch.observe(step.logical_block)
+    rig.driver.precondition(seed=_SSD_PRECONDITION_SEED)
+    rig.generators.append(_TraceJobs(jobs))
+    run = run_rigs([rig], day=0, tracer=tracer)
+    folded = run.folds[0]
     return SsdReplayResult(
-        completed=count,
-        events=events,
-        mean_response_ms=responses / count if count else 0.0,
-        mean_service_ms=services / count if count else 0.0,
-        stats=driver.stats,
-        separation=separation,
+        completed=folded.completed,
+        events=run.events,
+        mean_response_ms=folded.mean_response_ms,
+        mean_service_ms=folded.mean_service_ms,
+        stats=rig.driver.stats,
+        separation=rearrange,
         flash=flash,
-        ingest=None,
     )

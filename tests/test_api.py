@@ -1,5 +1,5 @@
-"""The ``repro.api`` facade, the keyword-rename shims, and the
-seek lookup table's equivalence to the piecewise models."""
+"""The ``repro.api`` facade, the current keyword names, and the seek
+lookup table's equivalence to the piecewise models."""
 
 import warnings
 
@@ -17,8 +17,7 @@ from repro.api import (
 )
 from repro.disk.disk import Disk
 from repro.disk.models import FUJITSU_M2266, TOSHIBA_MK156F, disk_model
-from repro.sim import ExperimentConfig, Simulation, run_onoff_campaign
-from repro.sim.multifs import DiskSpec
+from repro.sim import ExperimentConfig, run_onoff_campaign
 from repro.workload.profiles import SYSTEM_FS_PROFILE, profile_for_disk
 
 
@@ -99,54 +98,7 @@ class TestFacade:
 
 
 class TestRemovedAliases:
-    """The one-release deprecated keywords are gone; the errors say what
-    replaced them instead of the stock unexpected-keyword message."""
-
-    def test_simulate_day_rearranged_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*policy"):
-            simulate_day(hours=0.05, rearranged=True)
-
-    def test_experiment_config_num_rearranged_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*num_blocks"):
-            ExperimentConfig(profile=SYSTEM_FS_PROFILE, num_rearranged=64)
-
-    def test_experiment_config_num_rearranged_property(self):
-        config = ExperimentConfig(profile=SYSTEM_FS_PROFILE, num_blocks=64)
-        with pytest.raises(AttributeError, match="removed.*num_blocks"):
-            config.num_rearranged
-
-    def test_experiment_config_resolved_num_rearranged(self):
-        config = ExperimentConfig(profile=SYSTEM_FS_PROFILE)
-        with pytest.raises(
-            AttributeError, match="removed.*resolved_num_blocks"
-        ):
-            config.resolved_num_rearranged()
-
-    def test_disk_model_name_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*'disk'"):
-            disk_model(name="toshiba")
-
-    def test_profile_for_disk_base_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*'profile'"):
-            profile_for_disk(base=SYSTEM_FS_PROFILE, disk="fujitsu")
-
-    def test_add_device_name_kwarg(self):
-        from tests.test_multidevice import FixedLatencyDriver
-
-        simulation = Simulation()
-        with pytest.raises(TypeError, match="removed.*'device'"):
-            simulation.add_device(FixedLatencyDriver(1.0), name="a")
-
-    def test_disk_spec_num_rearranged_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*num_blocks"):
-            DiskSpec(
-                disk="toshiba", profile=SYSTEM_FS_PROFILE, num_rearranged=7
-            )
-
-    def test_disk_spec_num_rearranged_property(self):
-        spec = DiskSpec(disk="toshiba", profile=SYSTEM_FS_PROFILE)
-        with pytest.raises(AttributeError, match="removed.*num_blocks"):
-            spec.num_rearranged
+    """The current keyword names raise nothing and warn nothing."""
 
     def test_new_names_do_not_warn(self):
         with warnings.catch_warnings(record=True) as record:

@@ -324,6 +324,20 @@ class TestSsdExperiment:
         assert first == second
         assert first[0]["workload_requests"] > 0
 
+    def test_kernel_switch_leaves_days_unchanged(self, monkeypatch):
+        """The day loop runs the batch kernel, whose eligibility check
+        declines the FTL, so forcing the scalar engine changes nothing."""
+        from repro.sim import engine
+
+        profile = replace(USERS_FS_PROFILE, day_hours=0.5)
+        config = SsdConfig(profile=profile)
+
+        def payloads(override):
+            monkeypatch.setattr(engine, "FAST_OVERRIDE", override)
+            return [d.payload() for d in SsdExperiment(config).run_days(2)]
+
+        assert payloads(False) == payloads(None)
+
     def test_jsonl_trace_carries_ftl_events(self, tmp_path):
         path = tmp_path / "ssd.jsonl"
         profile = replace(USERS_FS_PROFILE, day_hours=1.0)

@@ -16,11 +16,11 @@ from repro.obs import (
     replay_day_metrics,
     replay_monitors,
 )
+from repro.parallel import resolve_workers
 from repro.sim.experiment import (
     Experiment,
     ExperimentConfig,
     alternating_schedule,
-    resolve_workers,
     run_block_count_sweep,
     run_block_count_sweep_parallel,
     run_campaign,

@@ -178,12 +178,7 @@ class TestCli:
 
 
 class TestRemovedRearranged:
-    """The ``rearranged=`` boolean finished its one-release deprecation
-    cycle: it is now a removed alias that names ``policy=``."""
-
-    def test_rearranged_kwarg_is_removed(self):
-        with pytest.raises(TypeError, match="removed.*policy"):
-            simulate_day(hours=0.05, rearranged=True)
+    """The removed ``rearranged=`` boolean's meaning, spelled ``policy=``."""
 
     def test_policy_spelling_still_matches_the_old_behavior(self):
         # ``rearranged=False`` used to mean the default single day.

@@ -2,8 +2,9 @@
 
 The scalar engine is the executable specification; the batch kernel
 (:mod:`repro.sim.vector`) must reproduce its metrics *bit for bit*.
-Every test here runs the same workload twice — ``fast=True`` and
-``fast=False`` — and compares the canonical metrics digest, the same
+Every test here runs the same workload twice — kernel on and off (the
+engine's ``fast`` flag, or :data:`repro.sim.engine.FAST_OVERRIDE` for
+whole experiments) — and compares the canonical metrics digest, the same
 sha256 the benchmark suite pins.  A single float added in a different
 order changes the digest, so equality is the strongest equivalence
 statement the metrics layer can express.
@@ -24,6 +25,7 @@ from repro.driver.ioctl import IoctlInterface
 from repro.driver.queue import make_queue
 from repro.driver.request import Op
 from repro.faults.spec import parse_fault_spec
+from repro.sim import engine
 from repro.sim.engine import Simulation
 from repro.sim.experiment import Experiment
 from repro.sim.jobs import batch_job, sequential_job
@@ -33,16 +35,18 @@ from repro.stats.metrics import DayMetrics
 def _experiment_digests(fast: bool, hours: float = 0.05, **overrides):
     """Per-day metrics digests of a two-day off/on experiment, with its
     online-migration counters and dispatched-event count."""
-    config = make_config("system", hours=hours, fast=fast, **overrides)
-    experiment = Experiment(config)
-    schedule = [False, True]
+    config = make_config("system", hours=hours, **overrides)
     digests = []
-    for day, on_today in enumerate(schedule):
-        on_tomorrow = schedule[day + 1] if day + 1 < len(schedule) else False
-        result = experiment.run_day(
-            rearranged=on_today, rearrange_tomorrow=on_tomorrow
-        )
-        digests.append(metrics_digest(day_metrics_payload(result.metrics)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "FAST_OVERRIDE", fast)
+        experiment = Experiment(config)
+        schedule = [False, True]
+        for day, on_today in enumerate(schedule):
+            on_tomorrow = schedule[day + 1] if day + 1 < len(schedule) else False
+            result = experiment.run_day(
+                rearranged=on_today, rearrange_tomorrow=on_tomorrow
+            )
+            digests.append(metrics_digest(day_metrics_payload(result.metrics)))
     return (
         digests,
         experiment.controller.online_stats,
