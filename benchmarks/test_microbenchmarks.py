@@ -117,3 +117,23 @@ def test_workload_generation_half_hour(benchmark):
         return generator.generate_day().num_requests
 
     assert benchmark(generate) > 0
+
+
+def test_workload_generation_paper_days(benchmark):
+    """Generating two of the paper's 15-hour system days (the second
+    with popularity drift), as one full-length run does."""
+    from repro.workload.generator import WorkloadGenerator
+    from repro.workload.profiles import SYSTEM_FS_PROFILE
+
+    def generate():
+        label = DiskLabel(TOSHIBA_MK156F.geometry, reserved_cylinders=48)
+        partition = label.add_partition("fs0", label.virtual_total_blocks)
+        generator = WorkloadGenerator(
+            SYSTEM_FS_PROFILE,
+            partition,
+            TOSHIBA_MK156F.geometry.blocks_per_cylinder,
+            seed=1,
+        )
+        return sum(generator.generate_day().num_requests for __ in range(2))
+
+    assert benchmark(generate) > 0

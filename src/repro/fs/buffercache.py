@@ -15,6 +15,7 @@ generator turns into a batch arrival at the driver.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 
@@ -76,6 +77,32 @@ class BufferCache:
             return None
         self.misses += 1
         return self._insert(block, dirty=True)
+
+    def write_many(self, blocks: Sequence[int]) -> list[int]:
+        """:meth:`write` each of ``blocks`` in order.
+
+        Returns the evicted dirty blocks in eviction order; the cache and
+        its counters end exactly as after the one-at-a-time writes.
+        """
+        entries = self._entries
+        capacity = self.capacity_blocks
+        evicted: list[int] = []
+        hits = 0
+        for block in blocks:
+            if block in entries:
+                entries.move_to_end(block)
+                entries[block] = True
+                hits += 1
+                continue
+            if len(entries) >= capacity:
+                old_block, old_dirty = entries.popitem(last=False)
+                if old_dirty:
+                    evicted.append(old_block)
+            entries[block] = True
+        self.hits += hits
+        self.misses += len(blocks) - hits
+        self.write_backs += len(evicted)
+        return evicted
 
     def _insert(self, block: int, dirty: bool) -> int | None:
         evicted_dirty: int | None = None

@@ -10,6 +10,8 @@ share absorbed by the top-k items).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -75,20 +77,36 @@ def poisson_arrivals(
         raise ValueError("duration must be positive")
     if clump_mean < 1.0:
         raise ValueError("clump_mean must be at least 1")
+    if not math.isfinite(clump_spread_ms) or clump_spread_ms < 0:
+        raise ValueError("clump_spread_ms must be finite and non-negative")
     arrivals: list[float] = []
     center_rate = rate_per_ms / clump_mean
+    if center_rate <= 0:
+        return arrivals
+    # Every draw below is the one the plain per-arrival loop would make,
+    # in the same order: ``random(k)`` yields the doubles of k scalar
+    # calls, and ``uniform(0, s)`` is ``0.0 + s * next_double``.  The
+    # exponential stays one scalar call per cluster: its ziggurat
+    # sometimes consumes more than one raw draw.
+    exponential = rng.exponential
+    geometric = rng.geometric
+    random = rng.random
+    scale = 1.0 / center_rate
+    p_end = 1.0 / clump_mean
+    clumped = clump_mean > 1
+    append = arrivals.append
     t = 0.0
     while True:
-        if center_rate <= 0:
-            break
-        t += rng.exponential(1.0 / center_rate)
+        t += exponential(scale)
         if t >= duration_ms:
             break
-        size = int(rng.geometric(1.0 / clump_mean)) if clump_mean > 1 else 1
-        for __ in range(size):
-            offset = rng.uniform(0.0, clump_spread_ms) if size > 1 else 0.0
+        size = int(geometric(p_end)) if clumped else 1
+        if size == 1:
+            append(t)
+            continue
+        for offset in (random(size) * clump_spread_ms).tolist():
             when = t + offset
             if when < duration_ms:
-                arrivals.append(when)
+                append(when)
     arrivals.sort()
     return arrivals

@@ -29,8 +29,10 @@ changing access patterns that made the *users* results weaker.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -241,20 +243,23 @@ class WorkloadGenerator:
         jobs: list[Job] = []
         sync_ms = profile.sync_interval_s * 1000.0
         next_sync = sync_ms
-        for when, kind in timeline:
-            while next_sync <= when:
-                self._flush_sync(next_sync, jobs)
-                next_sync += sync_ms
-            if kind == "session":
-                self._emit_session(when, jobs)
-            elif kind == "open":
-                self._emit_open(when)
-            elif kind == "spike":
-                self._emit_spike(when, jobs)
-            elif kind == "create":
-                self._emit_create(when)
-            elif kind == "extend":
-                self._emit_extend(when)
+        for kind, run in groupby(timeline, key=itemgetter(1)):
+            whens = [when for when, __ in run]
+            if kind == "open":
+                next_sync = self._emit_opens(whens, next_sync, sync_ms, jobs)
+                continue
+            for when in whens:
+                while next_sync <= when:
+                    self._flush_sync(next_sync, jobs)
+                    next_sync += sync_ms
+                if kind == "session":
+                    self._emit_session(when, jobs)
+                elif kind == "spike":
+                    self._emit_spike(when, jobs)
+                elif kind == "create":
+                    self._emit_create(when)
+                elif kind == "extend":
+                    self._emit_extend(when)
         while next_sync <= profile.day_ms:
             self._flush_sync(next_sync, jobs)
             next_sync += sync_ms
@@ -365,16 +370,48 @@ class WorkloadGenerator:
             directory = self._file_keys[index][0]
             self._cache_write(self.fs.directory_inode_block(directory))
 
-    def _emit_open(self, when: float) -> None:
-        """A cache-served file open: only the atime updates reach the disk."""
-        if not self.profile.atime_updates:
-            return
-        index = self._pick_file()
-        inode = self._inodes[index]
-        self._cache_write(inode.inode_block)
-        if self.profile.dir_atime_updates:
-            directory = self._file_keys[index][0]
-            self._cache_write(self.fs.directory_inode_block(directory))
+    def _emit_opens(
+        self,
+        whens: list[float],
+        next_sync: float,
+        sync_ms: float,
+        jobs: list[Job],
+    ) -> float:
+        """A run of cache-served file opens at the sorted times ``whens``.
+
+        Only the atime updates reach the disk, at the next sync.  Nothing
+        else draws from the generator during the run, so one ``random(k)``
+        yields the k picks the opens would draw one by one.  Syncs falling
+        inside the run are flushed between the opens they separate, as
+        the per-event loop does; returns the next sync time.
+        """
+        profile = self.profile
+        if not profile.atime_updates:
+            return next_sync  # the caller flushes before the next event
+        picks = self._file_cdf().searchsorted(
+            self.rng.random(len(whens)), side="right"
+        )
+        inodes = self._inodes
+        if profile.dir_atime_updates:
+            keys = self._file_keys
+            dir_block = self.fs.directory_inode_block
+            blocks = []
+            for index in picks.tolist():
+                blocks.append(inodes[index].inode_block)
+                blocks.append(dir_block(keys[index][0]))
+            per_open = 2
+        else:
+            blocks = [inodes[index].inode_block for index in picks.tolist()]
+            per_open = 1
+        start = 0
+        while next_sync <= whens[-1]:
+            cut = bisect_left(whens, next_sync, start)
+            self._cache_write_many(blocks[start * per_open : cut * per_open])
+            self._flush_sync(next_sync, jobs)
+            next_sync += sync_ms
+            start = cut
+        self._cache_write_many(blocks[start * per_open :])
+        return next_sync
 
     def _rewrite_file(self, index: int) -> None:
         """Save an edited file the way editors do: write a fresh copy.
@@ -399,15 +436,13 @@ class WorkloadGenerator:
             self.fs.rename(dir_name, temp_name, file_name)
         except (FileSystemError, AllocationError):
             # Read-only or full: fall back to updating in place.
-            for block in old.data_blocks:
-                self._cache_write(block)
+            self._cache_write_many(old.data_blocks)
             return
         for block in old.data_blocks:
             self.cache.invalidate(block)
         self._inodes[index] = inode
         self._note_allocation(inode.data_blocks)
-        for block in inode.data_blocks:
-            self._cache_write(block)
+        self._cache_write_many(inode.data_blocks)
 
     def _run_blocks(self, inode: Inode) -> list[int]:
         profile = self.profile
@@ -429,6 +464,9 @@ class WorkloadGenerator:
         evicted = self.cache.write(block)
         if evicted is not None:
             self._pending_evicted.append(evicted)
+
+    def _cache_write_many(self, blocks: list[int]) -> None:
+        self._pending_evicted.extend(self.cache.write_many(blocks))
 
     # -- spikes -------------------------------------------------------
 
@@ -466,12 +504,6 @@ class WorkloadGenerator:
         if profile.spike_writes > 0:
             self._cache_write(self._log_file.inode_block)
 
-    def _all_data_blocks(self) -> np.ndarray:
-        blocks: list[int] = []
-        for inode in self._inodes:
-            blocks.extend(inode.data_blocks)
-        return np.asarray(blocks, dtype=np.int64)
-
     # -- namespace churn (users profile) --------------------------------
 
     def _emit_create(self, when: float) -> None:
@@ -489,9 +521,7 @@ class WorkloadGenerator:
         self._register_file(inode)
         self._file_keys.append((directory, name))
         self._note_allocation(inode.data_blocks)
-        for block in inode.data_blocks:
-            self._cache_write(block)
-        self._cache_write(inode.inode_block)
+        self._cache_write_many([*inode.data_blocks, inode.inode_block])
 
     def _emit_extend(self, when: float) -> None:
         profile = self.profile
@@ -506,9 +536,7 @@ class WorkloadGenerator:
         except (FileSystemError, AllocationError):
             return
         self._note_allocation(new_blocks)
-        for block in new_blocks:
-            self._cache_write(block)
-        self._cache_write(inode.inode_block)
+        self._cache_write_many([*new_blocks, inode.inode_block])
 
     # -- syncs ----------------------------------------------------------
 

@@ -144,3 +144,45 @@ def test_sync_returns_each_dirty_block_once(writes):
     flushed = cache.sync()
     assert len(flushed) == len(set(flushed))
     assert set(flushed) == set(writes)
+
+
+@given(
+    blocks=st.lists(st.integers(min_value=0, max_value=12), max_size=80),
+    capacity=st.integers(min_value=1, max_value=6),
+    warm=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=12)),
+        max_size=20,
+    ),
+)
+def test_write_many_matches_repeated_write(blocks, capacity, warm):
+    """``write_many`` is ``write`` in a loop: same LRU order and dirty
+    flags, same counters, same evicted blocks in the same order."""
+    batched = BufferCache(capacity_blocks=capacity)
+    single = BufferCache(capacity_blocks=capacity)
+    for cache in (batched, single):
+        # Start from a mix of clean and dirty entries.
+        for is_write, block in warm:
+            if is_write:
+                cache.write(block)
+            else:
+                cache.read(block)
+    evicted = batched.write_many(blocks)
+    expected = [single.write(block) for block in blocks]
+    assert evicted == [block for block in expected if block is not None]
+    assert list(batched._entries.items()) == list(single._entries.items())
+    assert (batched.hits, batched.misses, batched.write_backs) == (
+        single.hits,
+        single.misses,
+        single.write_backs,
+    )
+
+
+def test_write_many_empty_is_noop():
+    cache = BufferCache(capacity_blocks=2)
+    cache.write(1)
+    cache.read(2)
+    before = (list(cache._entries.items()), cache.hits, cache.misses,
+              cache.write_backs)
+    assert cache.write_many([]) == []
+    assert (list(cache._entries.items()), cache.hits, cache.misses,
+            cache.write_backs) == before

@@ -127,6 +127,63 @@ class TestPoissonArrivals:
         with pytest.raises(ValueError):
             poisson_arrivals(rng, 1.0, 10.0, clump_mean=0.5)
 
+    @pytest.mark.parametrize("spread", [-1.0, -1e-9, float("inf"), float("nan")])
+    def test_spread_validated(self, spread):
+        """A negative spread would place arrivals before their cluster
+        centre (and an infinite one past any day); both are refused."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            poisson_arrivals(rng, 0.01, 1000.0, clump_mean=2.0,
+                             clump_spread_ms=spread)
+
+
+def scalar_poisson_arrivals(rng, rate_per_ms, duration_ms, clump_mean,
+                            clump_spread_ms):
+    """The per-arrival loop ``poisson_arrivals`` must reproduce exactly:
+    one scalar sampler call per draw."""
+    arrivals = []
+    center_rate = rate_per_ms / clump_mean
+    t = 0.0
+    while True:
+        if center_rate <= 0:
+            break
+        t += rng.exponential(1.0 / center_rate)
+        if t >= duration_ms:
+            break
+        size = int(rng.geometric(1.0 / clump_mean)) if clump_mean > 1 else 1
+        for __ in range(size):
+            offset = rng.uniform(0.0, clump_spread_ms) if size > 1 else 0.0
+            when = t + offset
+            if when < duration_ms:
+                arrivals.append(when)
+    arrivals.sort()
+    return arrivals
+
+
+@pytest.mark.parametrize("clump_mean", [1.0, 1.6, 5.0])
+@pytest.mark.parametrize(
+    "rate_per_ms, duration_ms, spread",
+    [
+        (0.0, 1000.0, 400.0),
+        (0.01, 1e5, 0.0),
+        (0.05, 2e4, 400.0),
+        (5000 / 3_600_000.0, 3_600_000.0, 400.0),
+        (0.2, 500.0, 1e4),  # clusters spill past the end of the window
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7, 1993])
+def test_arrivals_match_scalar_loop(clump_mean, rate_per_ms, duration_ms,
+                                    spread, seed):
+    """Same arrivals, and the generator left in the same state."""
+    rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    got = poisson_arrivals(rng, rate_per_ms, duration_ms,
+                           clump_mean=clump_mean, clump_spread_ms=spread)
+    expected = scalar_poisson_arrivals(oracle_rng, rate_per_ms, duration_ms,
+                                       clump_mean, spread)
+    assert got == expected
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
 
 @given(n=st.integers(min_value=1, max_value=2000),
        s=st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
