@@ -55,18 +55,10 @@ class BlockArranger:
     """Placements skipped by the most recent :meth:`execute` because
     their copy-in hit an unrecoverable device error."""
 
-    _layout: ReservedLayout | None = field(default=None, repr=False)
-
     def reserved_layout(self) -> ReservedLayout:
-        """The driver's reserved-area layout, built once per arranger.
-
-        The label's reserved region is fixed at initialization, so the
-        layout (and its cached organ-pipe fill order) is reused across
-        nightly cycles instead of being regrouped every plan.
-        """
-        if self._layout is None:
-            self._layout = ReservedLayout.from_label(self.ioctl.driver.label)
-        return self._layout
+        """The driver's reserved-area layout (shared by every disk with
+        the same reserved span, see :meth:`ReservedLayout.from_label`)."""
+        return ReservedLayout.from_label(self.ioctl.driver.label)
 
     def plan(
         self, hot_list: HotBlockList, num_blocks: int

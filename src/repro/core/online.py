@@ -238,7 +238,7 @@ class IncrementalArranger:
             )
         self._label = label
         self._layout = ReservedLayout.from_label(label)
-        self._table_blocks = tuple(label.block_table_home_blocks())
+        self._table_blocks = label.block_table_home_blocks()
         disk = driver.disk
         self._per_cyl = disk.geometry.blocks_per_cylinder
         self._center = label.reserved_center_cylinder()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ..disk.label import BLOCK_TABLE_BLOCKS, DiskLabel
 from .hotlist import HotBlockList
@@ -60,34 +60,21 @@ class ReservedLayout:
 
     @classmethod
     def from_label(cls, label: DiskLabel) -> "ReservedLayout":
-        """Group the label's reserved data blocks by cylinder.
+        """The label's reserved data blocks, grouped by cylinder.
 
-        Blocks are laid out cylinder-major, so each reserved cylinder's
-        data blocks are one contiguous run; the first cylinders also host
-        the on-disk block-table copy, which is carved off the front.
+        Every label with the same reserved span on the same geometry gets
+        the same (frozen) layout object, so a fleet of identical disks
+        builds it, and its organ-pipe fill order, once.
         """
         if not label.is_rearranged:
             raise ValueError("disk has no reserved area")
-        per_cylinder = label.geometry.blocks_per_cylinder
-        assert label.reserved_start_cylinder is not None
-        cylinders: list[ReservedCylinder] = []
-        table_blocks = BLOCK_TABLE_BLOCKS
-        for cyl in range(
-            label.reserved_start_cylinder, label.reserved_end_cylinder
-        ):
-            first = cyl * per_cylinder
-            skip = min(table_blocks, per_cylinder)
-            table_blocks -= skip
-            if skip < per_cylinder:
-                cylinders.append(
-                    ReservedCylinder(
-                        cylinder=cyl,
-                        blocks=tuple(range(first + skip, first + per_cylinder)),
-                    )
-                )
-        return cls(tuple(cylinders))
+        return _reserved_layout(
+            label.geometry.blocks_per_cylinder,
+            label.reserved_start_cylinder,
+            label.reserved_end_cylinder,
+        )
 
-    @property
+    @cached_property
     def capacity(self) -> int:
         return sum(len(c.blocks) for c in self.cylinders)
 
@@ -121,6 +108,32 @@ class ReservedLayout:
         for cylinder_index in self.center_out_indices():
             slots.extend(self.cylinders[cylinder_index].blocks)
         return tuple(slots)
+
+
+@lru_cache(maxsize=None)
+def _reserved_layout(
+    per_cylinder: int, start_cylinder: int, end_cylinder: int
+) -> ReservedLayout:
+    """Group a reserved span's data blocks by cylinder.
+
+    Blocks are laid out cylinder-major, so each reserved cylinder's data
+    blocks are one contiguous run; the first cylinders also host the
+    on-disk block-table copy, which is carved off the front.
+    """
+    cylinders: list[ReservedCylinder] = []
+    table_blocks = BLOCK_TABLE_BLOCKS
+    for cyl in range(start_cylinder, end_cylinder):
+        first = cyl * per_cylinder
+        skip = min(table_blocks, per_cylinder)
+        table_blocks -= skip
+        if skip < per_cylinder:
+            cylinders.append(
+                ReservedCylinder(
+                    cylinder=cyl,
+                    blocks=tuple(range(first + skip, first + per_cylinder)),
+                )
+            )
+    return ReservedLayout(tuple(cylinders))
 
 
 class PlacementPolicy(ABC):

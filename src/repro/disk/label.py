@@ -73,6 +73,13 @@ class DiskLabel:
         self._virtual_total = self.virtual_cylinders * self._per_cyl
         self._reserved_start = self.reserved_start_cylinder
         self._reserved_count = self.reserved_cylinders
+        # Read on every block copy and every clean of the nightly cycle.
+        first = self.reserved_start_cylinder * self._per_cyl
+        self._table_homes: tuple[int, ...] = (
+            tuple(range(first, first + BLOCK_TABLE_BLOCKS))
+            if self.is_rearranged
+            else ()
+        )
 
     # ------------------------------------------------------------------
     # Identity and sizes
@@ -178,15 +185,9 @@ class DiskLabel:
             - BLOCK_TABLE_BLOCKS
         )
 
-    def block_table_home_blocks(self) -> list[int]:
+    def block_table_home_blocks(self) -> tuple[int, ...]:
         """Physical blocks holding the on-disk block-table copy."""
-        if not self.is_rearranged:
-            return []
-        assert self.reserved_start_cylinder is not None
-        first = self.geometry.blocks_of_cylinder(
-            self.reserved_start_cylinder
-        )[0]
-        return list(range(first, first + BLOCK_TABLE_BLOCKS))
+        return self._table_homes
 
     def reserved_center_cylinder(self) -> int:
         """The middle cylinder of the reserved area (organ-pipe anchor)."""

@@ -36,6 +36,22 @@ def geometric_run_length(rng: np.random.Generator, mean: float, cap: int) -> int
     return int(min(rng.geometric(p), cap))
 
 
+def geometric_run_lengths(
+    rng: np.random.Generator, mean: float, cap: int, n: int
+) -> list[int]:
+    """``n`` draws of :func:`geometric_run_length` in one call.
+
+    ``Generator.geometric(p, n)`` runs the scalar sampler once per
+    element on the same bit generator, so the lengths and the stream
+    state equal ``n`` scalar calls in a row.
+    """
+    if mean < 1:
+        raise ValueError("mean run length must be at least 1")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    return np.minimum(rng.geometric(1.0 / mean, n), cap).tolist()
+
+
 def top_k_share(counts: list[int] | np.ndarray, k: int) -> float:
     """Fraction of all references absorbed by the ``k`` hottest items.
 
