@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.workload.distributions import (
     geometric_run_length,
+    geometric_run_lengths,
     poisson_arrivals,
     sorted_counts,
     top_k_share,
@@ -83,6 +84,34 @@ class TestGeometricRunLength:
             geometric_run_length(rng, 0.5, 10)
         with pytest.raises(ValueError):
             geometric_run_length(rng, 2.0, 0)
+
+
+class TestGeometricRunLengths:
+    # numpy samples geometric(p) by search for p >= 1/3 (mean <= 3) and
+    # by inversion below; both branches are covered, and cap 4 clamps.
+    @pytest.mark.parametrize("mean", [1.0, 1.5, 2.9, 3.0, 3.1, 6.0, 40.0])
+    @pytest.mark.parametrize("cap", [1, 4, 48])
+    @pytest.mark.parametrize("seed", [0, 7, 1993])
+    def test_matches_per_file_loop(self, mean, cap, seed):
+        bulk_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        bulk = geometric_run_lengths(bulk_rng, mean, cap, 400)
+        loop = [geometric_run_length(loop_rng, mean, cap) for __ in range(400)]
+        assert bulk == loop
+        assert all(type(length) is int for length in bulk)
+        assert bulk_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_cap_clamps(self):
+        lengths = geometric_run_lengths(np.random.default_rng(3), 6.0, 4, 400)
+        assert max(lengths) == 4
+        assert lengths.count(4) > 100  # P(geometric(1/6) >= 4) ~ 0.58
+
+    def test_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            geometric_run_lengths(rng, 0.5, 10, 3)
+        with pytest.raises(ValueError):
+            geometric_run_lengths(rng, 2.0, 0, 3)
 
 
 class TestPoissonArrivals:
