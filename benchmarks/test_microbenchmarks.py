@@ -137,3 +137,25 @@ def test_workload_generation_paper_days(benchmark):
         return sum(generator.generate_day().num_requests for __ in range(2))
 
     assert benchmark(generate) > 0
+
+
+def test_fleet_setup_and_nightly(benchmark):
+    """Building a 64-device tenancy fleet of Fujitsu rigs (file systems
+    populated) and running one short day that ends in every device's
+    nightly cycle."""
+    from repro.fleet import FleetSpec, build_shard_tasks
+    from repro.sim.multifs import MultiDiskExperiment
+
+    tasks = build_shard_tasks(FleetSpec(devices=64, hours=0.05, seed=5))
+
+    def run():
+        rearranged = 0
+        for task in tasks:
+            experiment = MultiDiskExperiment(list(task.specs))
+            experiment.run_day(rearranged=False, rearrange_tomorrow=True)
+            rearranged += sum(
+                len(rig.driver.block_table) for rig in experiment.rigs.values()
+            )
+        return rearranged
+
+    assert benchmark(run) > 0
