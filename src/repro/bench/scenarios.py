@@ -29,9 +29,10 @@ Three scenarios cover the simulator's hot paths from three angles:
 ``large_disk``
     The standard day on the synthetic ~8 GB ``modern`` disk (2,097,152
     blocks) with the ``spacesaving`` analyzer counter — the scale target
-    of ``docs/scaling.md``.  Guards the array-backed block table, the
-    streaming sketch, and the vectorized placement pipeline against both
-    time and peak-memory regressions on a multi-million-block device.
+    of ``docs/scaling.md``.  Guards the entry-sized block table, the
+    cylinder groups built on first use, the streaming sketch and the
+    vectorized placement pipeline against both time and peak-memory
+    regressions on a multi-million-block device.
 
 ``fleet_day``
     The fleet stack end to end (``docs/fleet.md``): multi-tenant

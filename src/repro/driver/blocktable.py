@@ -13,18 +13,17 @@ This module models both the in-memory table and its on-disk copy; writing
 the disk copy is an explicit step (:meth:`BlockTable.write_to_disk`) so the
 crash-recovery semantics can be exercised by tests.
 
-:class:`BlockTable` is array-backed.  The forward map (original physical
-block → reserved block) and the reverse map are flat ``array('i')``
-vectors indexed by block number with ``-1`` meaning "absent", so the
-per-request lookup is a bounds check plus one array index and the
-per-entry footprint is a few bytes instead of a dict slot plus a boxed
-entry object.  Entry metadata that is genuinely per-entry (insertion
-order, the disk-copy shadow) stays in small dicts bounded by the number of
-*rearranged* blocks, never by the size of the disk.  The original
-dict-of-entries implementation lives on in ``tests/test_blocktable.py`` as
-the executable specification: a randomized equivalence test drives both
-through add/remove/dirty/flush/crash/recover interleavings and requires
-identical observable state after every step.
+:class:`BlockTable` is sized by its entries, not by the disk.  The
+forward map (original physical block → reserved block), the reverse map
+and the dirty flags are a dict, a dict and a set keyed by rearranged
+block, so — as in the paper, where the table lists only the rearranged
+blocks — its footprint is bounded by the reserved area's capacity however
+large the device is, and the per-request lookup is one ``dict.get``.  The
+original dict-of-entries implementation lives on in
+``tests/test_blocktable.py`` as the executable specification: a
+randomized equivalence test drives both through
+add/remove/dirty/flush/crash/recover interleavings and requires identical
+observable state after every step.
 
 Because the driver rewrites the on-disk copy after *every* block move, a
 full O(entries) snapshot per flush would make the nightly cycle quadratic
@@ -37,11 +36,9 @@ O(changes) per flush.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 _ABSENT = -1
-_ABSENT_ONE = array("i", (_ABSENT,))
 
 
 @dataclass
@@ -54,12 +51,12 @@ class BlockTableEntry:
 
 
 class BlockTable:
-    """In-memory block table plus its on-disk shadow (array-backed).
+    """In-memory block table plus its on-disk shadow.
 
     ``capacity`` bounds the number of entries (the reserved area's data
-    capacity); ``None`` means unbounded.  The address-space arrays grow on
-    demand; callers that know the device size can :meth:`reserve` it up
-    front to avoid incremental growth.
+    capacity); ``None`` means unbounded.  Every structure is keyed by
+    rearranged block, so the table holds nothing for blocks that were
+    never rearranged.
 
     :meth:`entries` and :meth:`lookup` materialize fresh
     :class:`BlockTableEntry` snapshots — mutating a returned entry does
@@ -68,11 +65,10 @@ class BlockTable:
 
     def __init__(self, capacity: int | None = None) -> None:
         self.capacity = capacity
-        self._forward = array("i")  # original block -> reserved block
-        self._reverse = array("i")  # reserved block -> original block
-        self._dirty = bytearray()  # indexed by original block
-        # Insertion-ordered original -> sequence number; bounded by the
-        # number of rearranged blocks (the reserved area's capacity).
+        self._forward: dict[int, int] = {}  # original -> reserved block
+        self._reverse: dict[int, int] = {}  # reserved -> original block
+        self._dirty: set[int] = set()  # original blocks with dirty copies
+        # Insertion-ordered original -> sequence number.
         self._order: dict[int, int] = {}
         self._next_seq = 0
         # On-disk shadow, in the order a full snapshot would produce,
@@ -83,31 +79,6 @@ class BlockTable:
         self._unflushed: set[int] = set()
 
     # ------------------------------------------------------------------
-    # Sizing
-    # ------------------------------------------------------------------
-
-    def reserve(self, num_blocks: int) -> None:
-        """Pre-size both address-space arrays for a ``num_blocks`` device."""
-        if num_blocks > 0:
-            self._grow(num_blocks - 1, num_blocks - 1)
-
-    def _grow(self, original_block: int, reserved_block: int) -> None:
-        """Extend the arrays so both block numbers index into them.
-
-        New slots are filled at C level (a repeated one-element array and
-        a zero bytes object), never through a temporary Python list.
-        """
-        forward = self._forward
-        if original_block >= len(forward):
-            forward.extend(_ABSENT_ONE * (original_block + 1 - len(forward)))
-        reverse = self._reverse
-        if reserved_block >= len(reverse):
-            reverse.extend(_ABSENT_ONE * (reserved_block + 1 - len(reverse)))
-        dirty = self._dirty
-        if original_block >= len(dirty):
-            dirty.extend(bytes(original_block + 1 - len(dirty)))
-
-    # ------------------------------------------------------------------
     # In-memory operations
     # ------------------------------------------------------------------
 
@@ -115,53 +86,39 @@ class BlockTable:
         return len(self._order)
 
     def __contains__(self, original_block: int) -> bool:
-        forward = self._forward
-        return (
-            0 <= original_block < len(forward)
-            and forward[original_block] != _ABSENT
-        )
+        return original_block in self._forward
 
     def reserved_of(self, original_block: int) -> int:
         """Reserved-area home of ``original_block``, or ``-1`` (hot path)."""
-        forward = self._forward
-        if 0 <= original_block < len(forward):
-            return forward[original_block]
-        return _ABSENT
+        return self._forward.get(original_block, _ABSENT)
 
     def lookup(self, original_block: int) -> BlockTableEntry | None:
         """Entry for ``original_block``, or None if it is not rearranged."""
-        reserved = self.reserved_of(original_block)
-        if reserved == _ABSENT:
+        reserved = self._forward.get(original_block)
+        if reserved is None:
             return None
         return BlockTableEntry(
-            original_block, reserved, bool(self._dirty[original_block])
+            original_block, reserved, original_block in self._dirty
         )
 
     def original_of(self, reserved_block: int) -> int | None:
         """Original home of the block stored at ``reserved_block``."""
-        reverse = self._reverse
-        if 0 <= reserved_block < len(reverse):
-            original = reverse[reserved_block]
-            if original != _ABSENT:
-                return original
-        return None
+        return self._reverse.get(reserved_block)
 
     def add(self, original_block: int, reserved_block: int) -> BlockTableEntry:
         """Register a block just copied into the reserved area (clean)."""
         if original_block < 0 or reserved_block < 0:
             raise ValueError("block numbers must be non-negative")
-        if original_block in self:
+        if original_block in self._forward:
             raise ValueError(f"block {original_block} is already rearranged")
-        if self.original_of(reserved_block) is not None:
+        if reserved_block in self._reverse:
             raise ValueError(
                 f"reserved block {reserved_block} is already occupied"
             )
         if self.capacity is not None and len(self) >= self.capacity:
             raise ValueError("block table is full")
-        self._grow(original_block, reserved_block)
         self._forward[original_block] = reserved_block
         self._reverse[reserved_block] = original_block
-        self._dirty[original_block] = 0
         self._order[original_block] = self._next_seq
         self._next_seq += 1
         self._unflushed.add(original_block)
@@ -169,26 +126,23 @@ class BlockTable:
 
     def remove(self, original_block: int) -> BlockTableEntry:
         """Drop the entry for a block moved back to its original home."""
-        reserved = self.reserved_of(original_block)
-        if reserved == _ABSENT:
+        reserved = self._forward.pop(original_block, None)
+        if reserved is None:
             raise KeyError(
                 f"block {original_block} is not in the block table"
             )
-        entry = BlockTableEntry(
-            original_block, reserved, bool(self._dirty[original_block])
-        )
-        self._forward[original_block] = _ABSENT
-        self._reverse[reserved] = _ABSENT
-        self._dirty[original_block] = 0
+        dirty = original_block in self._dirty
+        del self._reverse[reserved]
+        self._dirty.discard(original_block)
         del self._order[original_block]
         self._unflushed.add(original_block)
-        return entry
+        return BlockTableEntry(original_block, reserved, dirty)
 
     def mark_dirty(self, original_block: int) -> None:
         """Record that the reserved-area copy has been updated."""
-        if original_block not in self:
+        if original_block not in self._forward:
             raise KeyError(f"block {original_block} is not in the block table")
-        self._dirty[original_block] = 1
+        self._dirty.add(original_block)
         self._unflushed.add(original_block)
 
     def entries(self) -> list[BlockTableEntry]:
@@ -196,7 +150,7 @@ class BlockTable:
         forward = self._forward
         dirty = self._dirty
         return [
-            BlockTableEntry(block, forward[block], bool(dirty[block]))
+            BlockTableEntry(block, forward[block], block in dirty)
             for block in self._order
         ]
 
@@ -206,7 +160,7 @@ class BlockTable:
         return [
             BlockTableEntry(block, forward[block], True)
             for block in self._order
-            if dirty[block]
+            if block in dirty
         ]
 
     def occupied_reserved_blocks(self) -> set[int]:
@@ -217,14 +171,10 @@ class BlockTable:
         self._drop_memory()
 
     def _drop_memory(self) -> None:
-        forward = self._forward
-        reverse = self._reverse
-        dirty = self._dirty
-        for block in self._order:
-            reverse[forward[block]] = _ABSENT
-            forward[block] = _ABSENT
-            dirty[block] = 0
-            self._unflushed.add(block)
+        self._unflushed.update(self._order)
+        self._forward.clear()
+        self._reverse.clear()
+        self._dirty.clear()
         self._order.clear()
 
     # ------------------------------------------------------------------
@@ -260,7 +210,7 @@ class BlockTable:
         dirty = self._dirty
         for block in present:
             seq = order[block]
-            value = (forward[block], bool(dirty[block]))
+            value = (forward[block], block in dirty)
             if disk_seq.get(block) == seq:
                 disk_map[block] = value
             else:
@@ -288,10 +238,9 @@ class BlockTable:
         self._drop_memory()
         self._unflushed.clear()
         for original, (reserved, __) in self._disk_map.items():
-            self._grow(original, reserved)
             self._forward[original] = reserved
             self._reverse[reserved] = original
-            self._dirty[original] = 1
+            self._dirty.add(original)
             seq = self._next_seq
             self._next_seq += 1
             self._order[original] = seq

@@ -118,9 +118,6 @@ class AdaptiveDiskDriver:
         if self.faults is not None:
             self.faults.bind_label(self.label)
         self._blocks_per_cylinder = self.disk.geometry.blocks_per_cylinder
-        # Pre-size the array-backed redirection map for the whole device
-        # so the hot path never pays incremental growth.
-        self.block_table.reserve(self.disk.geometry.total_blocks)
 
     # ------------------------------------------------------------------
     # Attach / recovery

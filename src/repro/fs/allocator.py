@@ -186,60 +186,95 @@ class CylinderGroup:
 
 @dataclass
 class FFSAllocator:
-    """Cylinder-group allocator over a partition of ``total_blocks``."""
+    """Cylinder-group allocator over a partition of ``total_blocks``.
+
+    The group layout is arithmetic: group ``i`` covers the
+    ``blocks_per_cylinder * cylinders_per_group`` blocks from
+    ``i`` times that size, and a tail too small to hold more than an
+    inode area is left unallocated.  A group's :class:`CylinderGroup` and
+    its :class:`FreeMap` are built the first time an allocation, release
+    or inode lookup touches it; until then its data area is wholly free,
+    which :meth:`free_count` reports without building it.  A device's
+    allocator state is therefore set by the groups its files use, not by
+    the size of the disk.
+    """
 
     total_blocks: int
     blocks_per_cylinder: int
     cylinders_per_group: int = DEFAULT_CYLINDERS_PER_GROUP
     inode_blocks_per_group: int = DEFAULT_INODE_BLOCKS_PER_GROUP
     interleave: int = DEFAULT_INTERLEAVE
-    groups: list[CylinderGroup] = field(default_factory=list)
+    num_groups: int = field(init=False)
+    _built: dict[int, CylinderGroup] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.total_blocks <= 0:
             raise ValueError("partition must contain at least one block")
-        if self.groups:
-            return
         group_blocks = self.blocks_per_cylinder * self.cylinders_per_group
         if group_blocks <= self.inode_blocks_per_group:
             raise ValueError("cylinder group too small for its inode area")
-        first = 0
-        index = 0
-        while first < self.total_blocks:
-            size = min(group_blocks, self.total_blocks - first)
-            if size <= self.inode_blocks_per_group:
-                break  # tail too small to be a group; leave unallocated
-            self.groups.append(
-                CylinderGroup(
-                    index=index,
-                    first_block=first,
-                    num_blocks=size,
-                    inode_blocks=self.inode_blocks_per_group,
-                )
-            )
-            first += size
-            index += 1
-        if not self.groups:
+        full, tail = divmod(self.total_blocks, group_blocks)
+        self.num_groups = full + (tail > self.inode_blocks_per_group)
+        if not self.num_groups:
             raise ValueError("partition too small for any cylinder group")
+        self._group_blocks = group_blocks
+        self._end_block = min(self.num_groups * group_blocks, self.total_blocks)
+        # Free data blocks in the groups not built yet.
+        self._untouched_free = (
+            self._end_block - self.num_groups * self.inode_blocks_per_group
+        )
+
+    def group(self, index: int) -> CylinderGroup:
+        """Group ``index``, built with a wholly free data area on first use."""
+        group = self._built.get(index)
+        if group is None:
+            if not 0 <= index < self.num_groups:
+                raise IndexError(f"no cylinder group {index}")
+            first = index * self._group_blocks
+            group = CylinderGroup(
+                index=index,
+                first_block=first,
+                num_blocks=min(self._group_blocks, self.total_blocks - first),
+                inode_blocks=self.inode_blocks_per_group,
+            )
+            self._built[index] = group
+            self._untouched_free -= group.free.count
+        return group
+
+    def free_count(self, index: int) -> int:
+        """Free data blocks in group ``index``, building nothing."""
+        group = self._built.get(index)
+        if group is not None:
+            return group.free.count
+        first = index * self._group_blocks
+        return (
+            min(self._group_blocks, self.total_blocks - first)
+            - self.inode_blocks_per_group
+        )
 
     @property
-    def num_groups(self) -> int:
-        return len(self.groups)
+    def groups(self) -> list[CylinderGroup]:
+        """Every group in index order, building the untouched ones.
+
+        For inspection only: the allocation paths build just the groups
+        they touch."""
+        return [self.group(index) for index in range(self.num_groups)]
 
     def group_of_block(self, block: int) -> CylinderGroup:
-        for group in self.groups:
-            if group.first_block <= block < group.end_block:
-                return group
-        raise ValueError(f"block {block} is outside every cylinder group")
+        if not 0 <= block < self._end_block:
+            raise ValueError(f"block {block} is outside every cylinder group")
+        return self.group(block // self._group_blocks)
 
     def _group_with_space(self, preferred: int, needed: int) -> CylinderGroup:
         """Preferred group if it has room, else the next group that does."""
-        groups = self.groups
-        num_groups = len(groups)
+        num_groups = self.num_groups
+        free_count = self.free_count
         for raw_index in range(preferred, preferred + num_groups):
-            group = groups[raw_index % num_groups]
-            if group.free.count >= needed:
-                return group
+            index = raw_index % num_groups
+            if free_count(index) >= needed:
+                return self.group(index)
         raise AllocationError("file system is full")
 
     def allocate_file_blocks(
@@ -249,11 +284,10 @@ class FFSAllocator:
         the hinted cylinder group and spilling to later groups when full."""
         if num_blocks <= 0:
             raise ValueError("num_blocks must be positive")
-        groups = self.groups
-        num_groups = len(groups)
+        num_groups = self.num_groups
         interleave = self.interleave
         hint = group_hint % num_groups
-        free = groups[hint].free
+        free = self.group(hint).free
         if num_blocks <= free.count:
             # The file fits its preferred group: the loop below would take
             # one run from the start of the group's data area.
@@ -302,4 +336,6 @@ class FFSAllocator:
 
     @property
     def free_blocks(self) -> int:
-        return sum(group.free_count for group in self.groups)
+        return self._untouched_free + sum(
+            group.free.count for group in self._built.values()
+        )

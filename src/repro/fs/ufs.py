@@ -106,8 +106,8 @@ class FileSystem:
         cylinder group's inode area, round-robin across the group's inode
         blocks as the group fills.
         """
-        groups = self._allocator.groups
-        group = groups[group_hint % len(groups)]
+        allocator = self._allocator
+        group = allocator.group(group_hint % allocator.num_groups)
         slot = (inumber // INODES_PER_BLOCK) % group.inode_blocks
         return self.partition.start_block + group.first_block + slot
 
@@ -132,7 +132,7 @@ class FileSystem:
             # cluster near the start of the partition.
             hint = max(
                 range(groups),
-                key=lambda g: (self._allocator.groups[g].free_count, -g),
+                key=lambda g: (self._allocator.free_count(g), -g),
             )
         else:
             hint = int(
@@ -245,9 +245,9 @@ class FileSystem:
             directory = self.directories[name]
         except KeyError:
             raise FileSystemError(f"no directory {name!r}") from None
-        group = self._allocator.groups[
+        group = self._allocator.group(
             directory.group_hint % self._allocator.num_groups
-        ]
+        )
         block = self._to_logical(group.inode_block_numbers()[0])
         self._dir_inode_cache[name] = block
         return block

@@ -31,6 +31,7 @@ This module owns the workload side of that story:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,18 @@ __all__ = [
     "device_profiles",
     "tenant_weights",
 ]
+
+
+@lru_cache(maxsize=None)
+def _shared_files(seed: int, n: int, k: int) -> np.ndarray:
+    """The ``k`` file indices of ``n`` that a seed-``seed`` hot set shares.
+
+    Drawn once per ``(seed, n, k)`` and shared, read-only, by every
+    device whose file count is ``n``.
+    """
+    shared = np.random.default_rng(seed).permutation(n)[:k]
+    shared.flags.writeable = False
+    return shared
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ class SharedHotSet:
         k = min(n, int(round(self.fraction * n)))
         if k <= 0:
             return rank_of
-        shared_files = np.random.default_rng(self.seed).permutation(n)[:k]
+        shared_files = _shared_files(self.seed, n, k)
         rank = np.empty(n, dtype=rank_of.dtype)
         rank[shared_files] = np.arange(k, dtype=rank_of.dtype)
         # Files outside the shared set, ordered by their device-local rank.

@@ -1,7 +1,10 @@
 """Tests for repro.sim.experiment — campaigns (fast, scaled-down days)."""
 
+import tracemalloc
+
 import pytest
 
+from repro.api import make_config
 from repro.sim.experiment import (
     ExperimentConfig,
     Experiment,
@@ -148,3 +151,20 @@ class TestQueuePolicyOption:
             fast_config(queue_policy="fcfs"), [False, True]
         )
         assert result.days[0].metrics.all.requests > 0
+
+
+def test_large_disk_setup_is_sized_by_the_workload():
+    """Building the ``large_disk`` rig (``modern``, 2,097,152 blocks) peaks
+    well below one byte per block: nothing per device is sized by the
+    disk — the block table holds only rearranged blocks and cylinder
+    groups are built when files first use them.  A structure with even
+    one 4-byte slot per block would push the peak past 10 MB."""
+    config = make_config("system", "modern", hours=0.5, counter="spacesaving")
+    tracemalloc.start()
+    try:
+        experiment = Experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert experiment.model.geometry.total_blocks == 2_097_152
+    assert peak < 10 * 2**20

@@ -21,6 +21,7 @@ from repro.workload import (
     device_profiles,
     tenant_weights,
 )
+from repro.workload.tenancy import _shared_files
 
 # Small enough for CI, big enough to exercise sharding: 4 devices in
 # 2 shards, 2 short days.
@@ -117,6 +118,17 @@ class TestSharedHotSet:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             SharedHotSet(fraction=1.2)
+
+    @pytest.mark.parametrize("seed,n,k", [(0, 1, 1), (9, 100, 20), (7, 37, 37)])
+    def test_cached_choice_matches_a_fresh_draw(self, seed, n, k):
+        """The shared choice is drawn once per ``(seed, n, k)``; the cached
+        array equals a fresh draw, is shared and cannot be written."""
+        shared = _shared_files(seed, n, k)
+        fresh = np.random.default_rng(seed).permutation(n)[:k]
+        assert np.array_equal(shared, fresh)
+        assert _shared_files(seed, n, k) is shared
+        with pytest.raises(ValueError):
+            shared[0] = 0
 
 
 class TestFleetSpec:
